@@ -1,4 +1,4 @@
-// Experiment A1 — ablations of the design choices DESIGN.md calls out.
+// Experiment A1 — ablations of the library's main design choices.
 //
 //  (a) Solver capacity pruning: the "each DRC cycle tiles the ring exactly
 //      once" insight is the paper's core; turning the derived prune off

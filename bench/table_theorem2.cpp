@@ -5,7 +5,7 @@
 // C4. This library certifies those values exactly for even n <= 12
 // (construction meeting the parity lower bound; the n = 10 base was found
 // by exhaustive search). For larger even n the general construction is
-// valid but uses floor((p-1)/2) extra cycles (see EXPERIMENTS.md). Covers
+// valid but uses floor((p-1)/2) extra cycles (n = 14: 28 vs rho = 25). Covers
 // come through the engine's BatchRunner: one "construct" request per n,
 // validated by the engine, rows in deterministic order.
 

@@ -2,7 +2,7 @@
 /// \file drc.hpp
 /// The Disjoint Routing Constraint (DRC) of the paper, specialised to rings.
 ///
-/// Theory (DESIGN.md 2.1): concatenating the routing paths of a logical
+/// Theory: concatenating the routing paths of a logical
 /// cycle gives a closed walk on C_n; pairwise edge-disjointness forces the
 /// walk to traverse every ring edge exactly once in one direction (winding
 /// number 1). Hence a cycle admits an edge-disjoint routing iff its vertex

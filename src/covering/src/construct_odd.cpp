@@ -4,7 +4,7 @@
 
 namespace ccov::covering {
 
-/// Induction K_{2p-1} -> K_{2p+1} (DESIGN.md 2.3).
+/// Induction K_{2p-1} -> K_{2p+1}.
 ///
 /// Insert two new vertices u, v into the ring. In the new labelling
 ///   u = 0, side A = 1..p-1 (old 0..p-2), v = p, side B = p+1..2p (old

@@ -118,8 +118,8 @@ class CoverCache {
   /// entry while the shard lock is held (the reference dies with the
   /// call — don't stash it). `stamp` uniquely identifies the stored
   /// value: any store()/import for the key — even writing equal bytes —
-  /// issues a fresh one, so callers memoizing derived artifacts (e.g. a
-  /// rendered response) can revalidate with one integer compare.
+  /// issues a fresh one, so anything derived from an entry can be
+  /// revalidated with one integer compare.
   /// Returns true iff `fn` ran. A miss returns false *without* counting
   /// it, so a caller falling back to lookup()/Engine::run() still
   /// counts that miss exactly once.

@@ -55,31 +55,22 @@ class Engine {
   /// Cache-hit fast path for serving loops: when the request is
   /// cacheable, maps onto the canonical frame by the identity (so no
   /// cover remap is needed) and is cached, invokes `fn` with the stored
-  /// entry — no deep copy of the cover — and returns true. The entry
-  /// differs from what run() would have returned only in the fields a
-  /// hit rewrites: cache_hit (stored false, reported true), nodes and
-  /// elapsed_ms (stored search cost, reported 0); callers must apply
-  /// those overrides themselves. Every other case returns false with
-  /// all counters untouched — falling back to run() then counts the
-  /// miss exactly once and yields identical bytes.
-  template <typename Fn>
-  bool run_cached(const CoverRequest& req, Fn&& fn) {
-    if (!opts_.use_cache || req.n < 3) return false;
-    const Algorithm* algo = registry_.find(req.algorithm);
-    if (!algo || !algo->cacheable) return false;
-    return run_cached_with_key(req, canonical_request_key(req),
-                               std::forward<Fn>(fn));
-  }
-
-  /// As run_cached(), but with the canonical key precomputed by the
-  /// caller — it is a pure function of the request, so hot loops memoize
-  /// it alongside the parsed request and skip rebuilding it per call.
+  /// entry and its stamp — no deep copy of the cover — and returns true.
+  /// `ck` must be canonical_request_key(req). The entry differs from what
+  /// run() would have returned only in the fields a hit rewrites:
+  /// cache_hit (stored false, reported true), nodes and elapsed_ms
+  /// (stored search cost, reported 0); callers must apply those
+  /// overrides themselves. Every other case returns false with all
+  /// counters untouched — falling back to run() then counts the miss
+  /// exactly once and yields identical bytes.
   template <typename Fn>
   bool run_cached(const CoverRequest& req, const CanonicalKey& ck, Fn&& fn) {
     if (!opts_.use_cache || req.n < 3) return false;
     const Algorithm* algo = registry_.find(req.algorithm);
     if (!algo || !algo->cacheable) return false;
-    return run_cached_with_key(req, ck, std::forward<Fn>(fn));
+    if (ck.to_canonical.reflect || ck.to_canonical.shift % req.n != 0)
+      return false;
+    return cache_.visit(ck, std::forward<Fn>(fn));
   }
 
   const AlgorithmRegistry& registry() const { return registry_; }
@@ -94,14 +85,6 @@ class Engine {
   const MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  template <typename Fn>
-  bool run_cached_with_key(const CoverRequest& req, const CanonicalKey& ck,
-                           Fn&& fn) {
-    if (ck.to_canonical.reflect || ck.to_canonical.shift % req.n != 0)
-      return false;
-    return cache_.visit(ck, std::forward<Fn>(fn));
-  }
-
   EngineOptions opts_;
   AlgorithmRegistry& registry_;
   CoverCache cache_;

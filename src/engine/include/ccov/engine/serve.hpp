@@ -34,10 +34,9 @@ namespace ccov::engine {
 
 /// Transport seam for the serve loop: a bidirectional byte stream. The
 /// session reads newline-framed requests through read_some and writes
-/// response lines through write_all; reads and writes may come from two
-/// different threads (the session pipelines: it parses the next batch
-/// while the previous one solves), so implementations must tolerate one
-/// concurrent reader plus one concurrent writer.
+/// response lines through write_all. A pipelining session (jobs > 1 ||
+/// batch > 1) reads and writes from two threads, so implementations must
+/// tolerate one concurrent reader plus one concurrent writer.
 class ServeStream {
  public:
   virtual ~ServeStream() = default;
@@ -79,11 +78,6 @@ struct ServeConfig {
   /// absolute deadline is fixed when the request is *accepted*, so time
   /// spent queued behind a batch counts against it.
   std::uint64_t default_deadline_ms = 0;
-  /// Graceful-degradation policy (`--fallback`): "" answers expired
-  /// exact solves with timed_out:true; "greedy" answers them with the
-  /// greedy cover flagged degraded:true. The CLI maps this onto
-  /// EngineOptions::fallback_greedy when constructing the engine.
-  std::string fallback;
   /// Server-wide cancellation token, cancelled by the SIGINT/SIGTERM
   /// handler. Sessions check it between lines and thread it into every
   /// request, so shutdown latency is bounded by the solver's ~4k-node
@@ -96,7 +90,6 @@ struct ServeConfig {
   /// Concurrent connections beyond this are refused with one in-band
   /// error (JSONL line on TCP, 503 on HTTP) and closed immediately.
   std::size_t max_clients = 64;
-  int backlog = 64;
 
   // --- HTTP front end ----------------------------------------------------
   /// Longest accepted request head (request line + headers).
@@ -118,10 +111,10 @@ struct ServeConfig {
 // Control-verb registry
 // ---------------------------------------------------------------------------
 
-/// Everything a control-verb handler may touch. Handlers run on the
-/// session's pipeline worker *after* the preceding requests flushed, so
-/// whatever they observe (cache stats, metrics) reflects exactly the
-/// requests that preceded them in the stream.
+/// Everything a control-verb handler may touch. Handlers run *after* the
+/// preceding requests flushed (on the pipeline worker when jobs > 1 ||
+/// batch > 1), so whatever they observe (cache stats, metrics) reflects
+/// exactly the requests that preceded them in the stream.
 struct ServeVerbContext {
   std::uint64_t id = 0;  ///< response id of the verb's input line
   Engine& engine;
@@ -221,10 +214,11 @@ std::string serve_stats_line(std::uint64_t id, const CoverCache& cache);
 
 /// Run the serve protocol over an arbitrary transport until
 /// end-of-stream. Emits exactly one response line per input line, in
-/// input order (blank lines are ignored). Batches are double-buffered:
-/// the session parses the next batch on the calling thread while a
-/// pipeline worker solves and writes the previous one, so reading and
-/// solving overlap for every transport. Returns 0; protocol-level
+/// input order (blank lines are ignored). Only when jobs > 1 || batch > 1
+/// does the session start a pipeline worker and double-buffer batches
+/// (the calling thread parses the next batch while the worker answers
+/// the previous one); otherwise every line is answered inline on the
+/// calling thread. Returns 0; protocol-level
 /// errors are reported in-band as {"ok":false,...} lines, and a dead
 /// peer ends the session without raising. Session, request, error and
 /// pipeline-depth counts feed engine.metrics().

@@ -102,7 +102,7 @@ void register_builtin_algorithms(AlgorithmRegistry& reg) {
   if (reg.contains("construct")) return;  // idempotent
 
   reg.add({"construct",
-           "paper-optimal DRC-covering of K_n (Theorems 1 and 2)", true,
+           "Theorems 1-2 covering of K_n; above rho(n) for even n >= 14", true,
            [](const CoverRequest& req) {
              require_all_to_all(req, "construct");
              return AlgorithmOutcome{covering::build_optimal_cover(req.n)};

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <istream>
 #include <limits>
-#include <charconv>
-#include <memory>
+#include <optional>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -500,11 +497,14 @@ class IostreamServeStream final : public ServeStream {
 
 int serve_session(ServeStream& raw_io, Engine& engine,
                   const ServeConfig& config) {
+  /// One input line awaiting its answer: a compute request, a control
+  /// verb (always flushed alone) or a preformatted parse failure.
   struct Pending {
     std::uint64_t id = 0;
     bool is_request = false;
     CoverRequest req;
     std::string error;  ///< preformatted parse failure when !is_request
+    const ServeVerb* verb = nullptr;  ///< set for a control verb
     bool shed = false;  ///< deadline expired while queued (set at flush)
   };
 
@@ -525,10 +525,57 @@ int serve_session(ServeStream& raw_io, Engine& engine,
   m_sessions.add(1);
   m_active.add(1);
 
-  std::vector<Pending> pending;
-  std::size_t pending_requests = 0;
   const std::size_t batch = std::max<std::size_t>(1, config.batch);
   BatchRunner runner(engine, {.jobs = config.jobs});
+
+  // Answers one flushed batch in input order and writes it. One thread
+  // answers every flush of a session (the reader when inline, else the
+  // pipeline worker), so one writer and its buffer serve them all.
+  json::JsonWriter w;
+  const auto answer = [&](std::vector<Pending>& work) {
+    // Deadline-aware load shedding, decided when the batch starts (after
+    // any queue wait behind earlier flushes) and before the cache probe:
+    // an expired request is answered in-band without solving.
+    for (Pending& p : work) {
+      if (p.is_request && p.req.deadline.expired()) {
+        p.shed = true;
+        m_shed.add(1);
+      }
+    }
+    w.clear();
+    // A lone request the store holds in its own frame renders straight
+    // out of the cache with the overrides a hit applies (cache_hit =
+    // true, nodes = 0), skipping the cover deep copy.
+    const Pending& front = work.front();
+    const auto render_hit = [&](const CoverResponse& hit, std::uint64_t) {
+      render_response_line(w, front.id, hit, /*cache_hit=*/true, /*nodes=*/0);
+    };
+    if (work.size() == 1 && front.is_request && !front.shed &&
+        engine.run_cached(front.req, canonical_request_key(front.req),
+                          render_hit)) {
+      w.value_raw("\n");  // top level: appended verbatim
+    } else {
+      std::vector<CoverRequest> requests;
+      for (const Pending& p : work)
+        if (p.is_request && !p.shed) requests.push_back(p.req);
+      const std::vector<CoverResponse> responses = runner.run(requests);
+      std::size_t k = 0;
+      for (const Pending& p : work) {
+        if (p.verb)
+          w.value_raw(p.verb->run({p.id, engine, config}));
+        else if (!p.is_request)
+          render_error_line(w, p.id, p.error);
+        else if (p.shed)
+          render_response_line(w, p.id, shed_response(p.req));
+        else
+          render_response_line(w, p.id, responses[k++]);
+        w.value_raw("\n");
+      }
+    }
+    const std::string& out = w.str();
+    return io.write_all(out.data(), out.size()) && io.flush();
+  };
+
   // Pipeline-depth bookkeeping: the gauge rises on enqueue and falls when
   // a job finishes. Jobs a dying pipeline drops never run, so the
   // enqueued/completed counts reconcile the gauge after the pipeline is
@@ -536,37 +583,38 @@ int serve_session(ServeStream& raw_io, Engine& engine,
   std::atomic<std::size_t> jobs_completed{0};
   std::size_t jobs_enqueued = 0;
   {
-    // Double-buffered flushes: one worker executes flush jobs strictly in
-    // order while this thread keeps reading and parsing the next batch.
-    // In-order execution keeps cache-state evolution — and therefore
-    // every output byte — identical to a synchronous loop; a job returns
-    // false when the peer is gone and the session tears down quietly.
-    util::OrderedPipeline pipeline(/*depth=*/2);
+    // Sessions that batch or fan out (jobs > 1 || batch > 1) are
+    // double-buffered: one worker answers flushes strictly in order while
+    // this thread reads and parses the next batch. Interactive sessions
+    // have nothing to overlap and the thread handoff would only add
+    // latency, so they answer inline and start no worker. Flushes run in
+    // input order either way, which keeps cache-state evolution — and
+    // therefore every output byte — identical; a flush returns false when
+    // the peer is gone and the session tears down quietly.
+    std::vector<Pending> pending;
+    std::size_t pending_requests = 0;
+    std::optional<util::OrderedPipeline> pipeline;
+    if (config.jobs != 1 || batch != 1) pipeline.emplace(/*depth=*/2);
 
-    // Interactive sessions (one request per flush, one solver thread)
-    // have nothing to overlap: the read-ahead the pipeline buys is an
-    // empty parse, and its thread handoff is pure added latency — about
-    // half the round trip on a co-located transport. Run those jobs
-    // inline on the reader thread instead; execution order (and thus
-    // every output byte) is the same either way.
-    const bool inline_jobs = config.jobs == 1 && batch == 1;
-
-    const auto enqueue_job = [&](std::function<bool()> job) {
-      if (inline_jobs) {
-        ++jobs_enqueued;
-        const bool ok = job();
-        jobs_completed.fetch_add(1, std::memory_order_relaxed);
+    const auto flush = [&]() -> bool {
+      if (pending.empty()) return true;
+      pending_requests = 0;
+      if (!pipeline) {
+        const bool ok = answer(pending);
+        pending.clear();
         return ok;
       }
       m_depth.add(1);
       ++jobs_enqueued;
-      const bool queued =
-          pipeline.enqueue([&m_depth, &jobs_completed, job = std::move(job)] {
-            const bool ok = job();
+      const bool queued = pipeline->enqueue(
+          [&answer, &jobs_completed, &m_depth,
+           work = std::move(pending)]() mutable {
+            const bool ok = answer(work);
             jobs_completed.fetch_add(1, std::memory_order_relaxed);
             m_depth.add(-1);
             return ok;
           });
+      pending.clear();
       if (!queued) {
         // The pipeline refused the job (already dead): it will never run.
         m_depth.add(-1);
@@ -575,163 +623,8 @@ int serve_session(ServeStream& raw_io, Engine& engine,
       return queued;
     };
 
-    // Solve the buffered batch and write its responses — executed on the
-    // pipeline worker, so the reader below is already parsing the next
-    // batch while this one searches. Jobs run strictly in order, which
-    // keeps cache-state evolution (and therefore every byte of output)
-    // identical to a synchronous loop.
-    // Reused across inline flushes so an interactive session allocates
-    // no per-request scaffolding (the buffers grow once and then stay
-    // put).
-    json::JsonWriter inline_w;
-    std::vector<CoverRequest> inline_requests;
-
-    // One-line parse memo for interactive sessions: a client hammering
-    // one hot request repeats the same bytes line after line, and both
-    // the parse and the canonical key are pure functions of those
-    // bytes. Capped so a stream of huge one-off lines isn't copied into
-    // the memo for nothing.
-    constexpr std::size_t kMemoMaxLine = 512;
-    std::string memo_line;
-    ServeCommand memo_cmd;
-    CanonicalKey memo_ck;
-    bool memo_valid = false;
-    // Rendered-response memo: a hit's bytes are a pure function of
-    // (id, stored entry), so everything after the id field can be
-    // replayed as long as the entry's stamp still matches — any
-    // store/import for the key issues a new stamp and re-renders.
-    std::string memo_tail;
-    std::uint64_t memo_stamp = 0;  // entry stamps start at 1
-    // Set for the request currently in `pending` when its canonical key
-    // is already known; consumed (and cleared) by the next flush.
-    const CanonicalKey* ck_hint = nullptr;
-
-    const auto enqueue_flush = [&]() -> bool {
-      if (pending.empty()) return true;
-      if (inline_jobs) {
-        // Inline fast path: no std::function, no shared_ptr handoff —
-        // render straight out of `pending` on this thread. Same
-        // execution order as the pipeline path, so identical bytes.
-        ++jobs_enqueued;
-        inline_w.clear();
-        // batch == 1 means `pending` holds exactly one entry; a cached
-        // identity-frame answer renders straight out of the cache with
-        // the hit overrides (cache_hit = true, nodes = 0) and skips the
-        // cover deep copy entirely.
-        const Pending& front = pending.front();
-        const CanonicalKey* ck = ck_hint;
-        ck_hint = nullptr;
-        const auto render_hit = [&](const CoverResponse& hit,
-                                    std::uint64_t stamp) {
-          if (stamp == memo_stamp && !memo_tail.empty()) {
-            // Same stored entry as the memoized render: replay the
-            // tail, only the id differs.
-            inline_w.value_raw("{\"id\":");
-            char buf[20];
-            const auto [end, ec] =
-                std::to_chars(buf, buf + sizeof buf, front.id);
-            (void)ec;
-            inline_w.value_raw(
-                std::string_view(buf, static_cast<std::size_t>(end - buf)));
-            inline_w.value_raw(memo_tail);
-            return;
-          }
-          const std::size_t start = inline_w.str().size();
-          render_response_line(inline_w, front.id, hit,
-                               /*cache_hit=*/true, /*nodes=*/0);
-          if (ck == &memo_ck) {
-            // Tail = everything from the comma after the id field on;
-            // capture it together with the stamp it derives from.
-            const std::string_view rendered =
-                std::string_view(inline_w.str()).substr(start);
-            const std::size_t comma = rendered.find(',');
-            if (comma != std::string_view::npos) {
-              memo_tail.assign(rendered.substr(comma));
-              memo_stamp = stamp;
-            }
-          }
-        };
-        if (pending.size() == 1 && front.is_request &&
-            (ck ? engine.run_cached(front.req, *ck, render_hit)
-                : engine.run_cached(front.req, render_hit))) {
-          inline_w.value_raw("\n");  // top level: appended verbatim
-        } else {
-          inline_requests.clear();
-          for (Pending& p : pending) {
-            if (!p.is_request) continue;
-            // Deadline-aware load shedding: a request whose deadline
-            // expired while queued is answered in-band without solving.
-            if (p.req.deadline.expired()) {
-              p.shed = true;
-              m_shed.add(1);
-            } else {
-              inline_requests.push_back(p.req);
-            }
-          }
-          const std::vector<CoverResponse> responses =
-              runner.run(inline_requests);
-          std::size_t k = 0;
-          for (const Pending& p : pending) {
-            if (!p.is_request)
-              render_error_line(inline_w, p.id, p.error);
-            else if (p.shed)
-              render_response_line(inline_w, p.id, shed_response(p.req));
-            else
-              render_response_line(inline_w, p.id, responses[k++]);
-            inline_w.value_raw("\n");
-          }
-        }
-        pending.clear();
-        pending_requests = 0;
-        const std::string& out = inline_w.str();
-        const bool ok = io.write_all(out.data(), out.size()) && io.flush();
-        jobs_completed.fetch_add(1, std::memory_order_relaxed);
-        return ok;
-      }
-      auto work = std::make_shared<std::vector<Pending>>(std::move(pending));
-      pending.clear();
-      pending_requests = 0;
-      return enqueue_job([&io, &runner, &m_shed, work] {
-        // The shed decision happens here, on the worker, at the moment
-        // the batch would start solving — exactly when the queue wait
-        // behind earlier flushes has been paid.
-        std::vector<CoverRequest> requests;
-        for (Pending& p : *work) {
-          if (!p.is_request) continue;
-          if (p.req.deadline.expired()) {
-            p.shed = true;
-            m_shed.add(1);
-          } else {
-            requests.push_back(p.req);
-          }
-        }
-        const std::vector<CoverResponse> responses = runner.run(requests);
-        std::string out;
-        std::size_t k = 0;
-        for (const Pending& p : *work) {
-          if (!p.is_request)
-            out += serve_error_line(p.id, p.error);
-          else if (p.shed)
-            out += serve_response_line(p.id, shed_response(p.req));
-          else
-            out += serve_response_line(p.id, responses[k++]);
-          out += "\n";
-        }
-        return io.write_all(out.data(), out.size()) && io.flush();
-      });
-    };
-
-    const auto enqueue_line_job = [&](std::function<std::string()> render) {
-      return enqueue_job([&io, render = std::move(render)] {
-        const std::string out = render() + "\n";
-        return io.write_all(out.data(), out.size()) && io.flush();
-      });
-    };
-
     // Fix the absolute deadline the moment a request is accepted (queue
-    // wait counts against it) and attach the server's cancel token. The
-    // parse memo keeps the *wire* request; every accepted copy resolves
-    // its own deadline afresh.
+    // wait counts against it) and attach the server's cancel token.
     const auto accept_request = [&config](CoverRequest* req) {
       if (req->deadline_ms == 0) req->deadline_ms = config.default_deadline_ms;
       if (req->deadline_ms > 0)
@@ -757,59 +650,39 @@ int serve_session(ServeStream& raw_io, Engine& engine,
             {id++, false, {},
              "parse: line exceeds max line length (" +
                  std::to_string(config.max_line_bytes) + " bytes)"});
-        if (pending.size() >= batch) alive = enqueue_flush();
+        if (pending.size() >= batch) alive = flush();
         continue;
       }
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
       ServeCommand cmd;
-      if (inline_jobs && memo_valid && line == memo_line) {
-        // Same bytes as the previous request: reuse the parsed request
-        // and canonical key (both pure functions of the line).
-        m_requests.add(1);
-        pending.push_back({id++, true, memo_cmd.req, {}, false});
-        accept_request(&pending.back().req);
-        ++pending_requests;
-        ck_hint = &memo_ck;
-        alive = enqueue_flush();  // batch == 1: flush immediately
-        continue;
-      }
       std::string error;
       if (!parse_serve_line(line, &cmd, &error)) {
         m_errors.add(1);
         pending.push_back({id++, false, {}, "parse: " + error});
-        if (pending.size() >= batch) alive = enqueue_flush();
+        if (pending.size() >= batch) alive = flush();
         continue;
       }
       if (cmd.is_request()) {
         m_requests.add(1);
-        if (inline_jobs && line.size() <= kMemoMaxLine) {
-          memo_line = line;
-          memo_cmd = cmd;
-          memo_ck = canonical_request_key(cmd.req);
-          memo_valid = true;
-          ck_hint = &memo_ck;
-        }
-        pending.push_back({id++, true, std::move(cmd.req), {}, false});
+        pending.push_back({id++, true, std::move(cmd.req), {}});
         accept_request(&pending.back().req);
-        ++pending_requests;
-        if (pending_requests >= batch) alive = enqueue_flush();
+        if (++pending_requests >= batch) alive = flush();
         continue;
       }
-      // Control verbs flush first, then render *inside* the pipeline
-      // job: the worker executes jobs in order, so whatever the handler
-      // observes (cache stats, metrics) reflects exactly the requests
-      // that preceded it in the stream.
+      // Control verbs flush the requests before them, then answer as a
+      // flush of their own: flushes run in order, so whatever the handler
+      // observes (cache stats, metrics) reflects exactly the requests that
+      // preceded it in the stream.
       m_verbs.add(1);
-      alive = enqueue_flush() &&
-              enqueue_line_job(
-                  [verb = cmd.verb, &engine, &config, verb_id = id] {
-                    return verb->run({verb_id, engine, config});
-                  });
-      ++id;
+      alive = flush();
+      if (alive) {
+        pending.push_back({id++, false, {}, {}, cmd.verb});
+        alive = flush();
+      }
     }
     if (alive) {
-      enqueue_flush();
-      pipeline.drain();
+      flush();
+      if (pipeline) pipeline->drain();
     }
   }  // ~OrderedPipeline joins the worker: no job runs past this point.
   m_depth.add(-static_cast<std::int64_t>(

@@ -1,6 +1,6 @@
 #pragma once
 /// \file tiling.hpp
-/// Exact tilings of the ring by arcs. Section 2.2 of DESIGN.md: a cycle
+/// Exact tilings of the ring by arcs. A cycle
 /// admits a DRC routing iff its routing arcs tile the ring exactly once
 /// (winding number 1), so tilings are the combinatorial heart of the paper.
 

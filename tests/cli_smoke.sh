@@ -18,12 +18,16 @@ trap cleanup EXIT
 COVER_FILE="${TMPDIR_SMOKE}/cover.txt"
 
 fail() { echo "cli_smoke: FAIL: $*" >&2; exit 1; }
+# Pipe checks use `has`, not `grep -q`: grep -q exits at its first match,
+# and under pipefail a producer still writing then dies of SIGPIPE and
+# fails the check even though the match was found. `has` reads all input.
+has() { grep "$@" > /dev/null; }
 
 echo "== ccov usage/help behaviour"
-"${CCOV}" | grep -q "usage:" || fail "no-arg invocation should print usage and exit 0"
+"${CCOV}" | has "usage:" || fail "no-arg invocation should print usage and exit 0"
 "${CCOV}" help >/dev/null || fail "'ccov help' should exit 0"
 for sub in cover validate bounds solve protect run sweep serve cache algos; do
-  "${CCOV}" help | grep -q "${sub}" || fail "usage should list '${sub}'"
+  "${CCOV}" help | has "${sub}" || fail "usage should list '${sub}'"
 done
 if "${CCOV}" frobnicate >/dev/null 2>&1; then fail "unknown command should exit nonzero"; fi
 UNKNOWN_OUT="${TMPDIR_SMOKE}/unknown.out"
@@ -35,13 +39,13 @@ fi
 grep -q "usage:" "${UNKNOWN_ERR}" || fail "unknown command should print usage on stderr"
 
 echo "== ccov --version"
-"${CCOV}" --version | grep -Eq "^ccov [0-9]+\.[0-9]+\.[0-9]+" \
+"${CCOV}" --version | has -E "^ccov [0-9]+\.[0-9]+\.[0-9]+" \
   || fail "--version should print 'ccov <semver>'"
 
 echo "== ccov bounds --n 13"
 OUT=$("${CCOV}" bounds --n 13)
-echo "${OUT}" | grep -q "rho(n)" || fail "bounds output missing rho(n)"
-echo "${OUT}" | grep -q "capacity bound" || fail "bounds output missing capacity bound"
+echo "${OUT}" | has "rho(n)" || fail "bounds output missing rho(n)"
+echo "${OUT}" | has "capacity bound" || fail "bounds output missing capacity bound"
 
 echo "== ccov cover --n 13 --out"
 "${CCOV}" cover --n 13 --out "${COVER_FILE}" >/dev/null
@@ -63,29 +67,29 @@ if "${CCOV}" validate --in "${TMPDIR_SMOKE}/nope.txt" >/dev/null 2>&1; then
 fi
 
 echo "== ccov cover (stdout path, no --out)"
-"${CCOV}" cover --n 9 | grep -q "cycle" || fail "cover without --out should print cycles"
+"${CCOV}" cover --n 9 | has "cycle" || fail "cover without --out should print cycles"
 
 echo "== ccov solve --n 7 (serial + parallel agree on found)"
 S=$("${CCOV}" solve --n 7)
 P=$("${CCOV}" solve --n 7 --parallel)
-echo "${S}" | grep -q "found=1" || fail "serial solve n=7 should find a cover"
-echo "${P}" | grep -q "found=1" || fail "parallel solve n=7 should find a cover"
+echo "${S}" | has "found=1" || fail "serial solve n=7 should find a cover"
+echo "${P}" | has "found=1" || fail "parallel solve n=7 should find a cover"
 
 echo "== ccov protect --n 12 --edge 3"
-"${CCOV}" protect --n 12 --edge 3 | grep -q "affected=" || fail "protect output missing report"
+"${CCOV}" protect --n 12 --edge 3 | has "affected=" || fail "protect output missing report"
 
 echo "== ccov algos lists the registered strategies"
 ALGOS=$("${CCOV}" algos)
 for name in construct solve greedy lambda; do
-  echo "${ALGOS}" | grep -q "${name}" || fail "algos output missing '${name}'"
+  echo "${ALGOS}" | has "${name}" || fail "algos output missing '${name}'"
 done
 
 echo "== ccov run --algo construct --n 9"
-"${CCOV}" run --algo construct --n 9 | grep -q "valid=yes" \
+"${CCOV}" run --algo construct --n 9 | has "valid=yes" \
   || fail "run construct n=9 should produce a valid cover"
 
 echo "== ccov run --algo solve caches the second invocation's shape"
-"${CCOV}" run --algo solve --n 7 | grep -q "found=1" \
+"${CCOV}" run --algo solve --n 7 | has "found=1" \
   || fail "run solve n=7 should find a cover"
 
 echo "== ccov run with an unknown algorithm exits nonzero"
@@ -108,13 +112,13 @@ SWEEP4="${TMPDIR_SMOKE}/sweep4.csv"
   || fail "sweep --jobs 1 failed"
 "${CCOV}" sweep --n-from 3 --n-to 12 --algo construct --jobs 4 --out "${SWEEP4}" \
   || fail "sweep --jobs 4 failed"
-head -n 1 "${SWEEP1}" | grep -q "algo,n,rho,cycles" || fail "sweep CSV header missing"
+head -n 1 "${SWEEP1}" | has "algo,n,rho,cycles" || fail "sweep CSV header missing"
 [ "$(wc -l < "${SWEEP1}")" -eq 11 ] || fail "sweep CSV should have header + 10 rows"
 cmp -s "${SWEEP1}" "${SWEEP4}" || fail "sweep output should be identical across --jobs"
 
 echo "== ccov sweep --format json"
 "${CCOV}" sweep --n-from 5 --n-to 7 --algo greedy --format json \
-  | grep -q '"algo": "greedy"' || fail "sweep JSON output malformed"
+  | has '"algo": "greedy"' || fail "sweep JSON output malformed"
 
 echo "== bad numeric flags fail with a one-line stderr error"
 for args in "sweep --n-from abc" "sweep --n-from 3 --n-to 9 --jobs 1.5" \
@@ -148,14 +152,14 @@ SERVE4="${TMPDIR_SMOKE}/serve4.jsonl"
   || fail "serve --jobs 4 failed"
 [ "$(wc -l < "${SERVE1}")" -eq 6 ] || fail "serve should answer every input line"
 cmp -s "${SERVE1}" "${SERVE4}" || fail "serve output should be identical across --jobs"
-head -n 1 "${SERVE1}" | grep -q '"id":0,"ok":true' || fail "serve responses should be index-aligned"
+head -n 1 "${SERVE1}" | has '"id":0,"ok":true' || fail "serve responses should be index-aligned"
 grep -q '"op":"stats","ok":true' "${SERVE1}" || fail "stats verb should answer in-band"
 grep -q '"nodes":0,"cache_hit":true' "${SERVE1}" \
   || fail "duplicate requests inside one serve run should hit the cache"
 
 echo "== ccov serve rejects garbage lines in-band"
 echo 'this is not json' | "${CCOV}" serve 2>/dev/null \
-  | grep -q '"ok":false,"error":"parse:' || fail "parse errors should answer in-band"
+  | has '"ok":false,"error":"parse:' || fail "parse errors should answer in-band"
 
 echo "== ccov serve --cache-file warm start (cache_hit=true, nodes=0)"
 SNAP="${TMPDIR_SMOKE}/store.bin"
@@ -163,7 +167,7 @@ echo '{"algo":"solve","n":8}' | "${CCOV}" serve --cache-file "${SNAP}" >/dev/nul
   || fail "serve --cache-file (cold) failed"
 [ -s "${SNAP}" ] || fail "serve should save the store on exit"
 WARM=$(echo '{"algo":"solve","n":8}' | "${CCOV}" serve --cache-file "${SNAP}" 2>/dev/null)
-echo "${WARM}" | grep -q '"nodes":0,"cache_hit":true' \
+echo "${WARM}" | has '"nodes":0,"cache_hit":true' \
   || fail "warm-started serve should answer from the snapshot: ${WARM}"
 
 echo "== ccov serve answers interactively (stdin stays open)"
@@ -172,14 +176,14 @@ SERVE_COPROC_PID=${SERVE_PROC_PID}
 printf '%s\n' '{"algo":"construct","n":9}' >&"${SERVE_PROC[1]}"
 IFS= read -r -t 30 line <&"${SERVE_PROC[0]}" \
   || fail "serve did not answer while stdin was still open"
-echo "${line}" | grep -q '"id":0,"ok":true' \
+echo "${line}" | has '"id":0,"ok":true' \
   || fail "interactive response malformed: ${line}"
 eval "exec ${SERVE_PROC[1]}>&-"
 wait "${SERVE_COPROC_PID}" || fail "interactive serve should exit 0"
 
 echo "== ccov serve handles CRLF and oversized lines in-band"
 printf '{"algo":"construct","n":9}\r\n' | "${CCOV}" serve 2>/dev/null \
-  | grep -q '"id":0,"ok":true' || fail "CRLF-terminated requests should parse"
+  | has '"id":0,"ok":true' || fail "CRLF-terminated requests should parse"
 LONG_LINE=$(head -c 2000 /dev/zero | tr '\0' 'x')
 printf '%s\n{"algo":"construct","n":9}\n' "${LONG_LINE}" \
   | "${CCOV}" serve --max-line 256 2>/dev/null > "${TMPDIR_SMOKE}/long.jsonl" \
@@ -221,16 +225,16 @@ cmp -s "${SERVE1}" "${TCP_OUT}" \
 exec 3<>"/dev/tcp/127.0.0.1/${PORT}" || fail "cannot reconnect to ${PORT}"
 printf '%s\n' '{"algo":"solve","n":7}' >&3
 IFS= read -r line <&3 || fail "second client got no response"
-echo "${line}" | grep -q '"nodes":0,"cache_hit":true' \
+echo "${line}" | has '"nodes":0,"cache_hit":true' \
   || fail "second TCP client should hit the warm shared cache: ${line}"
 exec 3<&- 3>&-
 
 kill -TERM "${SERVER_PID}"
 wait "${SERVER_PID}" || fail "server should exit 0 on SIGTERM"
 [ -s "${LISTEN_SNAP}" ] || fail "server should save the store on SIGTERM"
-"${CCOV}" cache load --cache-file "${LISTEN_SNAP}" | grep -q "snapshot ok" \
+"${CCOV}" cache load --cache-file "${LISTEN_SNAP}" | has "snapshot ok" \
   || fail "snapshot saved on shutdown should load cleanly"
-if ls "${TMPDIR_SMOKE}" | grep -q "\.tmp\."; then
+if ls "${TMPDIR_SMOKE}" | has "\.tmp\."; then
   fail "atomic save left a temp file behind"
 fi
 
@@ -261,7 +265,7 @@ exec 3<>"/dev/tcp/127.0.0.1/${HTTP_PORT}" || fail "cannot connect to ${HTTP_PORT
 } >&3
 cat <&3 > "${HTTP_RAW}"
 exec 3<&- 3>&-
-head -n 1 "${HTTP_RAW}" | grep -q "200 OK" || fail "batch POST should answer 200"
+head -n 1 "${HTTP_RAW}" | has "200 OK" || fail "batch POST should answer 200"
 tr -d '\r' < "${HTTP_RAW}" | grep '^{' > "${HTTP_OUT}"
 cmp -s "${SERVE1}" "${HTTP_OUT}" \
   || fail "HTTP responses should be byte-identical to stdio serve"
@@ -304,16 +308,16 @@ wait "${SHM_PID}" || fail "shm server should exit 0 on SIGTERM"
 [ ! -e "/dev/shm/${SHM_NAME}" ] || fail "shm segment should be unlinked on exit"
 
 echo "== ccov cache stats / load / save / clear"
-"${CCOV}" cache stats --cache-file "${SNAP}" | grep -q "entries: 1" \
+"${CCOV}" cache stats --cache-file "${SNAP}" | has "entries: 1" \
   || fail "cache stats should count the stored entry"
-"${CCOV}" cache load --cache-file "${SNAP}" | grep -q "snapshot ok" \
+"${CCOV}" cache load --cache-file "${SNAP}" | has "snapshot ok" \
   || fail "cache load should verify the snapshot"
 "${CCOV}" cache save --cache-file "${SNAP}" --algo construct --n-from 3 --n-to 12 >/dev/null \
   || fail "cache save (offline warming) failed"
-"${CCOV}" cache stats --cache-file "${SNAP}" | grep -q "entries: 11" \
+"${CCOV}" cache stats --cache-file "${SNAP}" | has "entries: 11" \
   || fail "cache save should merge the sweep into the snapshot"
 "${CCOV}" cache clear --cache-file "${SNAP}" >/dev/null || fail "cache clear failed"
-"${CCOV}" cache stats --cache-file "${SNAP}" | grep -q "entries: 0" \
+"${CCOV}" cache stats --cache-file "${SNAP}" | has "entries: 0" \
   || fail "cleared snapshot should be empty"
 echo "garbage" > "${SNAP}"
 if "${CCOV}" cache load --cache-file "${SNAP}" >/dev/null 2>&1; then
@@ -337,23 +341,23 @@ echo "== ccov serve request deadlines (timed_out, degraded, never cached)"
 # search), so a 60ms deadline reliably expires mid-search.
 DL_REQ='{"algo":"solve","n":10,"deadline_ms":60}'
 DL_OUT=$(echo "${DL_REQ}" | "${CCOV}" serve 2>/dev/null)
-echo "${DL_OUT}" | grep -q '"timed_out":true' \
+echo "${DL_OUT}" | has '"timed_out":true' \
   || fail "expired deadline should answer timed_out:true: ${DL_OUT}"
-echo "${DL_OUT}" | grep -q '"found":false' \
+echo "${DL_OUT}" | has '"found":false' \
   || fail "a bare timeout should not claim a cover: ${DL_OUT}"
 DEG_OUT=$(echo "${DL_REQ}" | "${CCOV}" serve --fallback greedy 2>/dev/null)
-echo "${DEG_OUT}" | grep -q '"degraded":true' \
+echo "${DEG_OUT}" | has '"degraded":true' \
   || fail "--fallback greedy should flag the answer degraded: ${DEG_OUT}"
-echo "${DEG_OUT}" | grep -q '"found":true' \
+echo "${DEG_OUT}" | has '"found":true' \
   || fail "--fallback greedy should still produce a cover: ${DEG_OUT}"
 DD_OUT=$(echo '{"algo":"solve","n":10}' \
   | "${CCOV}" serve --default-deadline-ms 60 2>/dev/null)
-echo "${DD_OUT}" | grep -q '"timed_out":true' \
+echo "${DD_OUT}" | has '"timed_out":true' \
   || fail "--default-deadline-ms should bound requests without one: ${DD_OUT}"
 DL_SNAP="${TMPDIR_SMOKE}/deadline_store.bin"
 echo "${DL_REQ}" | "${CCOV}" serve --cache-file "${DL_SNAP}" >/dev/null 2>&1 \
   || fail "serve with an expired deadline should still exit 0"
-"${CCOV}" cache stats --cache-file "${DL_SNAP}" | grep -q "entries: 0" \
+"${CCOV}" cache stats --cache-file "${DL_SNAP}" | has "entries: 0" \
   || fail "a timed-out answer must never be cached"
 
 echo "== SIGTERM mid-solve: bounded shutdown, loadable snapshot (stdio)"
@@ -382,7 +386,7 @@ exec 9>&-
 ELAPSED_MS=$(( ( $(date +%s%N) - T0 ) / 1000000 ))
 [ "${ELAPSED_MS}" -lt 2000 ] \
   || fail "stdio SIGTERM shutdown took ${ELAPSED_MS}ms (in-flight solve not cancelled?)"
-"${CCOV}" cache load --cache-file "${TERM_SNAP}" | grep -q "snapshot ok" \
+"${CCOV}" cache load --cache-file "${TERM_SNAP}" | has "snapshot ok" \
   || fail "snapshot saved during stdio SIGTERM shutdown should load cleanly"
 
 echo "== SIGTERM mid-solve: bounded shutdown, loadable snapshot (TCP)"
@@ -411,7 +415,7 @@ ELAPSED_MS=$(( ( $(date +%s%N) - T0 ) / 1000000 ))
 exec 3<&- 3>&-
 [ "${ELAPSED_MS}" -lt 2000 ] \
   || fail "TCP SIGTERM shutdown took ${ELAPSED_MS}ms (in-flight solve not cancelled?)"
-"${CCOV}" cache load --cache-file "${TERM_TCP_SNAP}" | grep -q "snapshot ok" \
+"${CCOV}" cache load --cache-file "${TERM_TCP_SNAP}" | has "snapshot ok" \
   || fail "snapshot saved during TCP SIGTERM shutdown should load cleanly"
 
 echo "== ccov client --shm retries until the server appears"

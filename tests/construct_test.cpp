@@ -76,7 +76,7 @@ TEST_P(EvenGeneralParam, ValidCovering) {
 
 TEST_P(EvenGeneralParam, WithinDocumentedGapOfRho) {
   // For even n >= 14 the general construction uses (p^2+p)/2 cycles =
-  // rho(n) + floor((p-1)/2); see DESIGN.md 2.4 and EXPERIMENTS.md.
+  // rho(n) + floor((p-1)/2): Theorem 2 is not reached constructively here.
   const std::uint32_t n = GetParam();
   const std::uint64_t p = n / 2;
   const auto cover = construct_even_cover(n);

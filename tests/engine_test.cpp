@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -1080,13 +1081,18 @@ TEST(Serve, SaveVerbWithoutCacheFileIsAnInBandError) {
 namespace {
 
 /// A ServeStream that delivers input one byte per read — the worst-case
-/// framing a slow network or interactive client can produce.
+/// framing a slow network or interactive client can produce — and then
+/// holds the end of the stream back for `eof_delay_ms`.
 class TrickleStream final : public eng::ServeStream {
  public:
-  explicit TrickleStream(std::string input) : input_(std::move(input)) {}
+  explicit TrickleStream(std::string input, int eof_delay_ms = 0)
+      : input_(std::move(input)), eof_delay_ms_(eof_delay_ms) {}
 
   std::ptrdiff_t read_some(char* buf, std::size_t n) override {
-    if (pos_ >= input_.size() || n == 0) return 0;
+    if (pos_ >= input_.size() || n == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(eof_delay_ms_));
+      return 0;
+    }
     buf[0] = input_[pos_++];
     return 1;
   }
@@ -1100,6 +1106,7 @@ class TrickleStream final : public eng::ServeStream {
 
  private:
   std::string input_;
+  int eof_delay_ms_;
   std::size_t pos_ = 0;
   std::string output_;
 };
@@ -1222,4 +1229,120 @@ TEST(Serve, SessionsFeedTheEngineMetricsRegistry) {
   // n=7 solves actually searched; the second session hit the cache.
   EXPECT_GT(metrics.value("ccov_solver_nodes_total"), 0);
   EXPECT_EQ(metrics.value("ccov_cache_hits_total"), 3);
+}
+
+namespace {
+
+/// The serve protocol answered one line at a time through Engine::run
+/// and the public renderers, with no session, batching or cache probe:
+/// the reference a session's bytes must equal.
+std::string serve_line_by_line(const std::string& input) {
+  eng::Engine engine;
+  const eng::ServeConfig config;
+  std::istringstream lines(input);
+  std::string line;
+  std::string out;
+  std::uint64_t id = 0;
+  while (std::getline(lines, line)) {
+    eng::ServeCommand cmd;
+    std::string error;
+    if (!eng::parse_serve_line(line, &cmd, &error))
+      out += eng::serve_error_line(id, "parse: " + error);
+    else if (cmd.is_request())
+      out += eng::serve_response_line(id, engine.run(cmd.req));
+    else
+      out += cmd.verb->run({id, engine, config});
+    out += "\n";
+    ++id;
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Serve, LoneCachedFlushesAreByteIdenticalAcrossModesAndToLineByLine) {
+  // jobs=2, batch=4: lines 0-3 fill one batch; the cached line 4 is
+  // flushed alone by the stats verb, and the cached line 13 alone by
+  // EOF. Lines 6/7 and 9/10 repeat their predecessor byte for byte on
+  // either side of the clear verb.
+  const std::string input =
+      R"({"algo":"construct","n":9})" "\n"
+      R"({"algo":"greedy","n":9,"demand":[[0,3],[1,4],[2,7]]})" "\n"
+      R"({"algo":"construct","n":11})" "\n"
+      R"({"algo":"solve","n":7})" "\n"
+      R"({"algo":"construct","n":9})" "\n"
+      R"({"op":"stats"})" "\n"
+      R"({"algo":"solve","n":7})" "\n"
+      R"({"algo":"solve","n":7})" "\n"
+      R"({"op":"clear"})" "\n"
+      R"({"algo":"solve","n":7})" "\n"
+      R"({"algo":"solve","n":7})" "\n"
+      R"({"algo":"construct","n":9})" "\n"
+      R"({"algo":"greedy","n":9,"demand":[[2,5],[3,6],[0,4]]})" "\n"
+      R"({"algo":"construct","n":9})" "\n";
+
+  const std::string reference = serve_line_by_line(input);
+  EXPECT_EQ(run_serve(input, 2, 4), reference);
+  EXPECT_EQ(run_serve(input, 1, 1), reference);
+
+  // The two lone flushes were answered from the cache.
+  EXPECT_NE(reference.find(R"({"id":4,"ok":true,"algo":"construct","n":9,)"
+                           R"("found":true,"exhausted":false,"nodes":0,)"
+                           R"("cache_hit":true)"),
+            std::string::npos)
+      << reference;
+  EXPECT_NE(reference.find(R"({"id":13,"ok":true,"algo":"construct","n":9,)"
+                           R"("found":true,"exhausted":false,"nodes":0,)"
+                           R"("cache_hit":true)"),
+            std::string::npos)
+      << reference;
+  EXPECT_NE(reference.find(R"({"id":5,"op":"stats","ok":true,"size":4,)"),
+            std::string::npos)
+      << reference;
+}
+
+TEST(Serve, ExpiredCachedRequestFlushedAloneIsShedBeforeTheCacheProbe) {
+  const std::string shed_tail =
+      R"("ok":true,"algo":"construct","n":9,"found":false,)"
+      R"("exhausted":false,"nodes":0,"cache_hit":false,"shed":true})";
+
+  // A batching session holds the lone request until EOF, 100 ms after
+  // its 20 ms deadline was fixed: the EOF flush must shed it even though
+  // the store would answer it.
+  {
+    eng::Engine engine;
+    ASSERT_TRUE(engine.run(make_req("construct", 9)).ok);
+    eng::ServeConfig config;
+    config.jobs = 2;
+    config.batch = 4;
+    TrickleStream io(R"({"algo":"construct","n":9,"deadline_ms":20})" "\n",
+                     100);
+    ASSERT_EQ(eng::serve_session(io, engine, config), 0);
+    EXPECT_EQ(io.output(), R"({"id":0,)" + shed_tail + "\n");
+    EXPECT_EQ(engine.cache().stats().hits, 0u);
+    EXPECT_EQ(engine.metrics().value("ccov_requests_shed_total"), 1);
+  }
+
+  // A one-line-batch pipelined session: the cached request waits behind
+  // a solve that runs to its 200 ms deadline, then is flushed alone.
+  {
+    eng::Engine engine;
+    ASSERT_TRUE(engine.run(make_req("construct", 9)).ok);
+    eng::ServeConfig config;
+    config.jobs = 2;
+    config.batch = 1;
+    std::istringstream in(
+        R"({"algo":"solve","n":10,"budget":13,"deadline_ms":200})" "\n"
+        R"({"algo":"construct","n":9,"deadline_ms":20})" "\n");
+    std::ostringstream out;
+    ASSERT_EQ(eng::serve_loop(in, out, engine, config), 0);
+    std::istringstream lines(out.str());
+    std::string first, second;
+    ASSERT_TRUE(std::getline(lines, first));
+    ASSERT_TRUE(std::getline(lines, second));
+    EXPECT_NE(first.find(R"("timed_out":true)"), std::string::npos) << first;
+    EXPECT_EQ(second, R"({"id":1,)" + shed_tail);
+    EXPECT_EQ(engine.cache().stats().hits, 0u);
+    EXPECT_EQ(engine.metrics().value("ccov_requests_shed_total"), 1);
+  }
 }

@@ -349,11 +349,6 @@ ccov::engine::ServeConfig parse_serve_config(const ccov::util::Cli& cli) {
   if (deadline_ms < 0)
     throw std::invalid_argument("--default-deadline-ms must be >= 0");
   config.default_deadline_ms = static_cast<std::uint64_t>(deadline_ms);
-  config.fallback = cli.get("fallback", "");
-  if (config.fallback == "none") config.fallback.clear();
-  if (!config.fallback.empty() && config.fallback != "greedy")
-    throw std::invalid_argument("--fallback must be 'greedy' or 'none' (got '" +
-                                config.fallback + "')");
 
   const struct {
     const char* flag;
@@ -405,6 +400,13 @@ int cmd_serve(const ccov::util::Cli& cli) {
     }
   }
   ccov::engine::ServeConfig config = parse_serve_config(cli);
+  // Graceful-degradation policy: "greedy" answers deadline-expired exact
+  // solves with the greedy cover flagged degraded:true; "none" (or no
+  // flag) answers them timed_out:true.
+  const std::string fallback = cli.get("fallback", "");
+  if (!fallback.empty() && fallback != "none" && fallback != "greedy")
+    throw std::invalid_argument("--fallback must be 'greedy' or 'none' (got '" +
+                                fallback + "')");
   const bool listen = !cli.get("listen", "").empty();
   const bool http = !cli.get("http", "").empty();
   const bool shm = !config.shm_name.empty();
@@ -424,7 +426,7 @@ int cmd_serve(const ccov::util::Cli& cli) {
   eopts.cache_shards = static_cast<std::size_t>(cli.get_int(
       "cache-shards",
       static_cast<std::int64_t>(ccov::engine::CoverCache::kDefaultShards)));
-  eopts.fallback_greedy = config.fallback == "greedy";
+  eopts.fallback_greedy = fallback == "greedy";
   ccov::engine::Engine engine(eopts);
 
   if (const std::size_t loaded =
