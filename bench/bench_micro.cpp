@@ -19,6 +19,7 @@
 #include "ccov/covering/solver.hpp"
 #include "ccov/engine/cache.hpp"
 #include "ccov/protection/simulator.hpp"
+#include "ccov/util/prng.hpp"
 #include "ccov/wdm/network.hpp"
 
 using namespace ccov;
@@ -182,6 +183,37 @@ static void BM_CoverCacheLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CoverCacheLookup)->Arg(1)->Arg(8)->Threads(1)->Threads(4);
+
+// Canonical cache key of an explicit demand: the per-request cost every
+// demand request pays before its cache probe. Random chords (u != v) on
+// C_n, or with symmetric = 1 the n ring edges {i, i+1}: every chord is a
+// shortest one and every element of D_n reaches the least image, so all
+// 2n candidates are built — the worst case for ties. items/s = keys/s.
+static void BM_CanonicalKey(benchmark::State& state) {
+  const auto chords = static_cast<std::size_t>(state.range(0));
+  const auto n = static_cast<std::uint32_t>(state.range(1));
+  engine::CoverRequest req;
+  req.algorithm = "greedy";
+  req.n = n;
+  if (state.range(2) != 0) {
+    for (std::uint32_t i = 0; i < n; ++i)
+      req.demand.push_back({i, (i + 1) % n});
+  } else {
+    util::Xoshiro256 rng(chords * 1000 + n);
+    while (req.demand.size() < chords) {
+      const auto u = static_cast<std::uint32_t>(rng.below(n));
+      const auto v = static_cast<std::uint32_t>(rng.below(n));
+      if (u != v) req.demand.push_back({u, v});
+    }
+  }
+  for (auto _ : state)
+    benchmark::DoNotOptimize(engine::canonical_request_key(req));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CanonicalKey)
+    ->ArgNames({"chords", "n", "symmetric"})
+    ->ArgsProduct({{8, 24, 64, 128}, {30, 64, 150}, {0}})
+    ->Args({64, 64, 1});
 
 static void BM_LoopbackSimulation(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

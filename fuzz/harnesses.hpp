@@ -34,3 +34,8 @@ int ccov_fuzz_endpoint(const std::uint8_t* data, std::size_t size);
 
 /// failpoint::validate — the CCOV_FAILPOINTS env spec parser.
 int ccov_fuzz_failpoint(const std::uint8_t* data, std::size_t size);
+
+/// cache.hpp canonical_request_key — differential against the exhaustive
+/// D_n scan in tests/reference_canonical_key.hpp. Unlike the parse
+/// surfaces above it aborts on a mismatch, not only on a crash.
+int ccov_fuzz_canonical_key(const std::uint8_t* data, std::size_t size);

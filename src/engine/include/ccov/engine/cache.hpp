@@ -45,7 +45,23 @@ struct CanonicalKey {
 /// Compute the canonical key: scalar fields, plus the lexicographically
 /// least D_n-image of the demand chord multiset (empty demand = K_n, which
 /// every group element fixes).
+///
+/// The least image starts with the chord (0, l), l the least ring
+/// distance min(d, n - d) over the m chords. One O(m) pass finds l and
+/// lists the k elements g = rot_s . refl^r that send some chord onto
+/// (0, l); only their images are built and sorted, in one reused buffer,
+/// so the cost is O(m) + k * m log m instead of 2n * m log m (an image
+/// whose second-least chord already loses is not sorted). Ties go to
+/// the first minimizer in (reflect, shift) order — the element a scan of
+/// all 2n images with strict `<` would keep. A demand with a vertex >= n
+/// is not on C_n: its key is the literal sorted chords under the
+/// identity, tagged so it never equals a ring key, and it is never
+/// cached (see cacheable_demand).
 CanonicalKey canonical_request_key(const CoverRequest& req);
+
+/// True iff `req` is a ring request D_n acts on: n >= 3 and every demand
+/// vertex is < n. The engine looks up and caches only these.
+bool cacheable_demand(const CoverRequest& req);
 
 /// Apply `g` (respectively its inverse) to every vertex of a cover.
 covering::RingCover apply_element(const covering::RingCover& cover,

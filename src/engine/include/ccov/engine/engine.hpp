@@ -6,6 +6,13 @@
 /// engine is thread-safe; BatchRunner fans requests across it using the
 /// engine's shared thread pool (created lazily, reused by every batch —
 /// a serve loop never pays per-call pool construction).
+///
+/// One key per request: canonical_request_key is the one per-request
+/// cost that grows with the demand, so every path computes it at most
+/// once. A caller that already holds the key — the serve loop's
+/// run_cached() probe, BatchRunner's grouping pass — hands it to
+/// run(req, ck), which looks up and inserts under it; run(req) keys the
+/// request itself (the CLI path).
 
 #include <cstddef>
 #include <memory>
@@ -45,7 +52,14 @@ class Engine {
 
   /// Execute one request. Never throws: algorithm failures, unknown
   /// names and invalid parameters come back as ok = false responses.
+  /// Computes the canonical key itself when the request is cacheable.
   CoverResponse run(const CoverRequest& req);
+
+  /// run() with the key already built: `ck` must be
+  /// canonical_request_key(req). It is used for the lookup and the
+  /// insert, and ignored when the request is not cacheable. Responses
+  /// are byte-identical to run(req).
+  CoverResponse run(const CoverRequest& req, const CanonicalKey& ck);
 
   /// The engine's shared thread pool, created on first call and reused
   /// for the engine's lifetime. Concurrent batches isolate themselves
@@ -62,12 +76,11 @@ class Engine {
   /// (stored search cost, reported 0); callers must apply those
   /// overrides themselves. Every other case returns false with all
   /// counters untouched — falling back to run() then counts the miss
-  /// exactly once and yields identical bytes.
+  /// exactly once and yields identical bytes; pass the same `ck` to
+  /// run(req, ck) so the request is keyed once.
   template <typename Fn>
   bool run_cached(const CoverRequest& req, const CanonicalKey& ck, Fn&& fn) {
-    if (!opts_.use_cache || req.n < 3) return false;
-    const Algorithm* algo = registry_.find(req.algorithm);
-    if (!algo || !algo->cacheable) return false;
+    if (!cacheable(req)) return false;
     if (ck.to_canonical.reflect || ck.to_canonical.shift % req.n != 0)
       return false;
     return cache_.visit(ck, std::forward<Fn>(fn));
@@ -85,6 +98,14 @@ class Engine {
   const MetricsRegistry& metrics() const { return metrics_; }
 
  private:
+  /// True iff run() consults the cache for `req`: caching is on, the
+  /// algorithm is registered and cacheable, and cacheable_demand(req).
+  bool cacheable(const CoverRequest& req) const;
+
+  /// Both run() overloads: `ck` is the caller's key, or null to compute
+  /// it here when the request turns out to be cacheable.
+  CoverResponse run_keyed(const CoverRequest& req, const CanonicalKey* ck);
+
   EngineOptions opts_;
   AlgorithmRegistry& registry_;
   CoverCache cache_;

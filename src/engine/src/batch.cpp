@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <unordered_map>
+#include <string_view>
+#include <unordered_set>
 
 #include "ccov/util/thread_pool.hpp"
 
@@ -15,9 +16,14 @@ BatchRunner::BatchRunner(Engine& engine, BatchOptions opts)
 std::vector<CoverResponse> BatchRunner::run(
     const std::vector<CoverRequest>& requests) {
   std::vector<CoverResponse> results(requests.size());
+  // One key per request, shared by the grouping below and Engine::run.
+  std::vector<CanonicalKey> keys;
+  keys.reserve(requests.size());
+  for (const CoverRequest& req : requests)
+    keys.push_back(canonical_request_key(req));
   const auto run_one = [&](std::size_t i) {
     try {
-      results[i] = engine_.run(requests[i]);
+      results[i] = engine_.run(requests[i], keys[i]);
     } catch (const std::exception& e) {
       // Engine::run never throws by contract; belt-and-braces so one bad
       // request can never take down a whole batch.
@@ -37,10 +43,9 @@ std::vector<CoverResponse> BatchRunner::run(
   // output stays byte-identical across every --jobs value even when a
   // batch carries duplicate or D_n-equivalent requests.
   std::vector<std::size_t> primaries, repeats;
-  std::unordered_map<std::string, std::size_t> seen;
+  std::unordered_set<std::string_view> seen;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const std::string key = canonical_request_key(requests[i]).key;
-    if (seen.emplace(key, i).second) {
+    if (seen.insert(keys[i].key).second) {
       primaries.push_back(i);
     } else {
       repeats.push_back(i);

@@ -12,27 +12,80 @@ namespace ccov::engine {
 
 namespace {
 
-using EdgeList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+/// A chord packed as (min << 32) | max: u64 order is the lexicographic
+/// order of the normalized (u, v) pair.
+std::uint64_t pack(std::uint32_t u, std::uint32_t v) {
+  if (u > v) std::swap(u, v);
+  return (std::uint64_t{u} << 32) | v;
+}
 
-/// Image of the demand multiset under g(v) = rot_shift(refl^r(v)),
-/// normalized (u <= v per edge) and sorted so equal multisets compare
-/// equal.
-EdgeList transform_demand(const std::vector<graph::Edge>& demand,
-                          std::uint32_t n, bool reflect,
-                          std::uint32_t shift) {
-  EdgeList out;
-  out.reserve(demand.size());
+/// A group element packed as (reflect << 32) | shift: u64 order is the
+/// order in which the full 2n-element scan visits D_n.
+std::uint64_t pack(const DihedralElement& g) {
+  return (std::uint64_t{g.reflect} << 32) | g.shift;
+}
+
+/// refl(v) = -v mod n, for v < n.
+std::uint32_t reflect_vertex(std::uint32_t v, std::uint32_t n) {
+  return v == 0 ? 0 : n - v;
+}
+
+/// (v + s) mod n, for v, s < n, without overflow.
+std::uint32_t rotate_vertex(std::uint32_t v, std::uint32_t s,
+                            std::uint32_t n) {
+  return v >= n - s ? v - (n - s) : v + s;
+}
+
+/// Image of the demand multiset under g(v) = rot_s(refl^r(v)), unsorted,
+/// written into `out` (resized, never reallocated once large enough).
+/// Every vertex must be < n.
+void image(const std::vector<graph::Edge>& demand, std::uint32_t n,
+           const DihedralElement& g, std::vector<std::uint64_t>* out) {
+  out->resize(demand.size());
+  const auto map = [&](std::uint32_t v) {
+    return rotate_vertex(g.reflect ? reflect_vertex(v, n) : v, g.shift, n);
+  };
+  for (std::size_t i = 0; i < demand.size(); ++i)
+    (*out)[i] = pack(map(demand[i].u), map(demand[i].v));
+}
+
+/// The elements of D_n that map some chord of the demand onto (0, l),
+/// l the least ring distance over its chords, sorted in scan order and
+/// deduplicated. The least image starts with (0, l), so it is the image
+/// under one of these. Every vertex must be < n.
+std::vector<std::uint64_t> candidate_elements(
+    const std::vector<graph::Edge>& demand, std::uint32_t n) {
+  const auto ring_distance = [n](std::uint32_t u, std::uint32_t v) {
+    const std::uint32_t d = u > v ? u - v : v - u;
+    return std::min(d, n - d);
+  };
+  std::uint32_t least = n;
+  for (const auto& e : demand) least = std::min(least, ring_distance(e.u, e.v));
+
+  // For a chord {a, b} (after the reflection, if any), rot_s sends it to
+  // {0, l} iff s = -a and b - a = l, or s = -b and a - b = l (mod n).
+  std::vector<std::uint64_t> out;
   for (const auto& e : demand) {
-    auto map = [&](std::uint32_t v) {
-      const std::uint32_t r = reflect ? (n - v) % n : v;
-      return (r + shift) % n;
-    };
-    std::uint32_t u = map(e.u), v = map(e.v);
-    if (u > v) std::swap(u, v);
-    out.emplace_back(u, v);
+    if (ring_distance(e.u, e.v) != least) continue;
+    for (const bool reflect : {false, true}) {
+      const std::uint32_t a = reflect ? reflect_vertex(e.u, n) : e.u;
+      const std::uint32_t b = reflect ? reflect_vertex(e.v, n) : e.v;
+      if (rotate_vertex(b, reflect_vertex(a, n), n) == least)
+        out.push_back(pack({reflect, reflect_vertex(a, n)}));
+      if (rotate_vertex(a, reflect_vertex(b, n), n) == least)
+        out.push_back(pack({reflect, reflect_vertex(b, n)}));
+    }
   }
   std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
+}
+
+bool demand_within_ring(const CoverRequest& req) {
+  return std::all_of(req.demand.begin(), req.demand.end(),
+                     [n = req.n](const graph::Edge& e) {
+                       return e.u < n && e.v < n;
+                     });
 }
 
 /// Decimal append without a std::to_string temporary — key building sits
@@ -49,7 +102,7 @@ void append_num(std::string* out, std::uint64_t v) {
 
 CanonicalKey canonical_request_key(const CoverRequest& req) {
   std::string key;
-  key.reserve(96);
+  key.reserve(96 + 8 * req.demand.size());
   key += req.algorithm;
   key += "|n=";
   append_num(&key, req.n);
@@ -67,34 +120,52 @@ CanonicalKey canonical_request_key(const CoverRequest& req) {
   append_num(&key, req.validate ? 1 : 0);
 
   CanonicalKey out;
+  std::vector<std::uint64_t> best;
   if (req.demand.empty() || req.n == 0) {
     // K_n is fixed by every element of D_n: the identity suffices.
     key += "|K_n";
+  } else if (!demand_within_ring(req)) {
+    // Not a demand on C_n, so D_n does not act on it: key the literal
+    // chords under the identity. The engine never caches such requests.
+    for (const auto& e : req.demand) best.push_back(pack(e.u, e.v));
+    std::sort(best.begin(), best.end());
+    key += "|X";
   } else {
     // Lexicographically least D_n-image of the demand; the minimizing
-    // element maps this request's frame onto the canonical frame.
-    EdgeList best;
-    bool have_best = false;
-    for (int refl = 0; refl < 2; ++refl) {
-      for (std::uint32_t s = 0; s < req.n; ++s) {
-        EdgeList img = transform_demand(req.demand, req.n, refl != 0, s);
-        if (!have_best || img < best) {
-          best = std::move(img);
-          out.to_canonical = {refl != 0, s};
-          have_best = true;
-        }
+    // element maps this request's frame onto the canonical frame. Strict
+    // `<` over candidates in scan order keeps the first minimizer, as a
+    // scan of all 2n elements would. Every candidate image starts with
+    // (0, l), so its second-least chord decides most comparisons: an
+    // image whose second chord exceeds the best one's loses without
+    // being sorted.
+    std::vector<std::uint64_t> img;
+    for (const std::uint64_t c : candidate_elements(req.demand, req.n)) {
+      const DihedralElement g{(c >> 32) != 0,
+                              static_cast<std::uint32_t>(c)};
+      image(req.demand, req.n, g, &img);
+      const std::size_t head = std::min<std::size_t>(2, img.size());
+      std::partial_sort(img.begin(), img.begin() + head, img.end());
+      if (!best.empty() && best[head - 1] < img[head - 1]) continue;
+      std::sort(img.begin() + head, img.end());
+      if (best.empty() || img < best) {
+        best.swap(img);
+        out.to_canonical = g;
       }
     }
     key += "|D";
-    for (const auto& [u, v] : best) {
-      key += " ";
-      append_num(&key, u);
-      key += "-";
-      append_num(&key, v);
-    }
+  }
+  for (const std::uint64_t c : best) {
+    key += " ";
+    append_num(&key, c >> 32);
+    key += "-";
+    append_num(&key, c & 0xffffffffu);
   }
   out.key = std::move(key);
   return out;
+}
+
+bool cacheable_demand(const CoverRequest& req) {
+  return req.n >= 3 && demand_within_ring(req);
 }
 
 covering::RingCover apply_element(const covering::RingCover& cover,

@@ -74,7 +74,22 @@ util::ThreadPool& Engine::pool() {
   return *pool_;
 }
 
+bool Engine::cacheable(const CoverRequest& req) const {
+  if (!opts_.use_cache || !cacheable_demand(req)) return false;
+  const Algorithm* algo = registry_.find(req.algorithm);
+  return algo && algo->cacheable;
+}
+
 CoverResponse Engine::run(const CoverRequest& req) {
+  return run_keyed(req, nullptr);
+}
+
+CoverResponse Engine::run(const CoverRequest& req, const CanonicalKey& ck) {
+  return run_keyed(req, &ck);
+}
+
+CoverResponse Engine::run_keyed(const CoverRequest& req,
+                                const CanonicalKey* ck) {
   CoverResponse resp;
   resp.algorithm = req.algorithm;
   resp.n = req.n;
@@ -89,11 +104,13 @@ CoverResponse Engine::run(const CoverRequest& req) {
     return resp;
   }
 
-  const bool cacheable = opts_.use_cache && algo->cacheable;
-  CanonicalKey ck;
-  if (cacheable) {
-    ck = canonical_request_key(req);
-    if (auto hit = cache_.lookup(ck)) return *std::move(hit);
+  // A demand vertex >= n is not on C_n: keying it would alias it onto a
+  // ring demand, so it skips the cache and the algorithm answers it.
+  const bool use_cache = cacheable(req);
+  CanonicalKey computed;
+  if (use_cache) {
+    if (!ck) ck = &(computed = canonical_request_key(req));
+    if (auto hit = cache_.lookup(*ck)) return *std::move(hit);
   }
 
   // Resolve a relative deadline_ms into an absolute deadline unless the
@@ -156,7 +173,7 @@ CoverResponse Engine::run(const CoverRequest& req) {
   }
   resp.elapsed_ms = timer.millis();
 
-  if (cacheable) cache_.insert(ck, resp);
+  if (use_cache) cache_.insert(*ck, resp);
   return resp;
 }
 

@@ -545,14 +545,17 @@ int serve_session(ServeStream& raw_io, Engine& engine,
     w.clear();
     // A lone request the store holds in its own frame renders straight
     // out of the cache with the overrides a hit applies (cache_hit =
-    // true, nodes = 0), skipping the cover deep copy.
+    // true, nodes = 0), skipping the cover deep copy. Otherwise it runs
+    // on the engine with the key the probe already built.
     const Pending& front = work.front();
-    const auto render_hit = [&](const CoverResponse& hit, std::uint64_t) {
-      render_response_line(w, front.id, hit, /*cache_hit=*/true, /*nodes=*/0);
-    };
-    if (work.size() == 1 && front.is_request && !front.shed &&
-        engine.run_cached(front.req, canonical_request_key(front.req),
-                          render_hit)) {
+    if (work.size() == 1 && front.is_request && !front.shed) {
+      const auto render_hit = [&](const CoverResponse& hit, std::uint64_t) {
+        render_response_line(w, front.id, hit, /*cache_hit=*/true,
+                             /*nodes=*/0);
+      };
+      const CanonicalKey ck = canonical_request_key(front.req);
+      if (!engine.run_cached(front.req, ck, render_hit))
+        render_response_line(w, front.id, engine.run(front.req, ck));
       w.value_raw("\n");  // top level: appended verbatim
     } else {
       std::vector<CoverRequest> requests;

@@ -28,6 +28,7 @@
 #include "ccov/extensions/lambda_cover.hpp"
 #include "ccov/util/failpoint.hpp"
 #include "ccov/util/prng.hpp"
+#include "reference_canonical_key.hpp"
 
 namespace eng = ccov::engine;
 namespace cov = ccov::covering;
@@ -445,6 +446,86 @@ TEST(CoverCache, ApplyElementRoundTrips) {
       EXPECT_TRUE(cov::validate_cover(back).ok);
     }
   }
+}
+
+TEST(CoverCache, CanonicalKeyMatchesExhaustiveScan) {
+  // The fast kernel builds only the images that start with the shortest
+  // chord; the reference builds all 2n. Key bytes and the chosen group
+  // element must agree everywhere — including the demands whose
+  // stabilizer in D_n is non-trivial, where several elements reach the
+  // least image and the tie rule alone decides which one is reported.
+  ccov::util::Xoshiro256 rng(0x5eed'cafeu);
+  const auto map = [](const ccov::graph::Edge& e, std::uint32_t n,
+                      bool reflect, std::uint32_t shift) {
+    const auto f = [&](std::uint32_t v) {
+      return ((reflect ? (n - v) % n : v) + shift) % n;
+    };
+    return ccov::graph::Edge{f(e.u), f(e.v)};
+  };
+  const auto random_chord = [&](std::uint32_t n) {
+    return ccov::graph::Edge{static_cast<std::uint32_t>(rng.below(n)),
+                             static_cast<std::uint32_t>(rng.below(n))};
+  };
+  int checked = 0;
+  const auto expect_same = [&](std::uint32_t n,
+                               std::vector<ccov::graph::Edge> demand,
+                               const std::string& what) {
+    auto req = make_req(rng.below(2) ? "greedy" : "solve", n);
+    req.demand = std::move(demand);
+    const eng::CanonicalKey fast = eng::canonical_request_key(req);
+    const eng::CanonicalKey ref = eng::reference::canonical_request_key(req);
+    ASSERT_EQ(fast.key, ref.key) << what << " n=" << n;
+    ASSERT_EQ(fast.to_canonical.reflect, ref.to_canonical.reflect)
+        << what << " n=" << n << " key " << ref.key;
+    ASSERT_EQ(fast.to_canonical.shift, ref.to_canonical.shift)
+        << what << " n=" << n << " key " << ref.key;
+    ++checked;
+  };
+
+  for (std::uint32_t n = 3; n <= 64; ++n) {
+    for (int trial = 0; trial < 6; ++trial) {
+      // Random multisets: every chord drawn independently, so self-loops
+      // (u == v) and repeated chords occur at their natural rate.
+      std::vector<ccov::graph::Edge> demand;
+      const std::size_t m = 1 + rng.below(40);
+      for (std::size_t i = 0; i < m; ++i) demand.push_back(random_chord(n));
+      expect_same(n, demand, "random");
+
+      // Explicit duplicates and a self-loop on top of a random demand.
+      demand.push_back(demand[rng.below(demand.size())]);
+      demand.push_back(demand.front());
+      const auto v = static_cast<std::uint32_t>(rng.below(n));
+      demand.push_back({v, v});
+      expect_same(n, demand, "duplicates+loop");
+    }
+    // Orbit-built demands: the orbit of a few chords under rotation by
+    // n / d (and optionally the reflection), then moved by a random
+    // element so the least image is reached by several elements away
+    // from the identity.
+    for (std::uint32_t d = 1; d <= n; ++d) {
+      if (n % d != 0) continue;
+      const std::uint32_t step = n / d;
+      for (const bool with_reflection : {false, true}) {
+        std::vector<ccov::graph::Edge> base;
+        const std::size_t seeds = 1 + rng.below(3);
+        for (std::size_t i = 0; i < seeds; ++i) base.push_back(random_chord(n));
+        std::vector<ccov::graph::Edge> orbit;
+        for (const auto& e : base) {
+          for (std::uint32_t j = 0; j < d; ++j) {
+            orbit.push_back(map(e, n, false, j * step));
+            if (with_reflection) orbit.push_back(map(e, n, true, j * step));
+          }
+        }
+        const bool reflect = rng.below(2) != 0;
+        const auto shift = static_cast<std::uint32_t>(rng.below(n));
+        for (auto& e : orbit) e = map(e, n, reflect, shift);
+        // Chord order within the request must not matter either.
+        std::reverse(orbit.begin(), orbit.end());
+        expect_same(n, orbit, "orbit d=" + std::to_string(d));
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
 }
 
 // ---------------------------------------------------------------------------
@@ -990,6 +1071,48 @@ std::string run_serve(const std::string& input, std::size_t jobs,
 }
 
 }  // namespace
+
+TEST(Engine, OutOfRangeDemandIsAnsweredTheSameColdAndWarm) {
+  // A demand vertex >= n is not on C_30. Reducing it mod n to build a
+  // key would alias [0,35] onto [0,5] and serve that cover from a warm
+  // store; instead such a request is never looked up or cached, so the
+  // algorithm's own error answers it cold and warm alike.
+  const std::string bad = R"({"algo":"greedy","n":30,"demand":[[0,35]]})";
+  const std::string good = R"({"algo":"greedy","n":30,"demand":[[0,5]]})";
+  for (const auto& [jobs, batch] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {2, 1}, {2, 4}}) {
+    const std::string out =
+        run_serve(bad + "\n" + good + "\n" + bad + "\n", jobs, batch);
+    std::vector<std::string> lines;
+    std::istringstream is(out);
+    for (std::string l; std::getline(is, l);) lines.push_back(l);
+    ASSERT_EQ(lines.size(), 3u) << out;
+    EXPECT_NE(lines[0].find("\"ok\":false"), std::string::npos) << lines[0];
+    EXPECT_NE(lines[0].find("out of range"), std::string::npos) << lines[0];
+    EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos) << lines[1];
+    // Same answer as cold, up to the id.
+    EXPECT_EQ(lines[2].substr(lines[2].find(",\"ok\"")),
+              lines[0].substr(lines[0].find(",\"ok\"")));
+  }
+
+  eng::Engine engine;
+  auto req = make_req("greedy", 30);
+  req.demand = {{0, 35}};
+  EXPECT_FALSE(eng::cacheable_demand(req));
+  const eng::CoverResponse cold = engine.run(req);
+  auto in_range = make_req("greedy", 30);
+  in_range.demand = {{0, 5}};
+  ASSERT_TRUE(engine.run(in_range).ok);
+  const eng::CoverResponse warm = engine.run(req);
+  EXPECT_FALSE(cold.ok);
+  EXPECT_FALSE(warm.ok);
+  EXPECT_FALSE(warm.cache_hit);
+  EXPECT_EQ(warm.error, cold.error);
+  EXPECT_EQ(engine.cache().size(), 1u);
+  // The key of a non-ring demand never equals a ring key.
+  EXPECT_NE(eng::canonical_request_key(req).key,
+            eng::canonical_request_key(in_range).key);
+}
 
 TEST(Serve, LoopIsIndexAlignedAndByteIdenticalAcrossJobs) {
   const std::string input =
