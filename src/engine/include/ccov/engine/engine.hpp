@@ -27,16 +27,10 @@
 namespace ccov::engine {
 
 struct EngineOptions {
-  /// Serve repeated (D_n-equivalent) requests from the cache.
-  bool use_cache = true;
   /// Total LRU capacity of the cover cache, across all shards.
   std::size_t cache_capacity = 256;
   /// Lock-striped shards of the cover cache (clamped to the capacity).
   std::size_t cache_shards = CoverCache::kDefaultShards;
-  /// Threads in the shared pool; 0 selects hardware concurrency. The
-  /// pool is created on first use (Engine::pool), so engines that never
-  /// batch never spawn a thread.
-  std::size_t pool_threads = 0;
   /// Graceful degradation (`ccov serve --fallback greedy`): answer a
   /// deadline-expired exact solve with the greedy cover, flagged
   /// degraded:true — a valid (just non-minimal) protection cover beats
@@ -61,9 +55,10 @@ class Engine {
   /// are byte-identical to run(req).
   CoverResponse run(const CoverRequest& req, const CanonicalKey& ck);
 
-  /// The engine's shared thread pool, created on first call and reused
-  /// for the engine's lifetime. Concurrent batches isolate themselves
-  /// with util::TaskGroup tokens.
+  /// The engine's shared thread pool (one worker per hardware thread),
+  /// created on first call — engines that never batch never spawn a
+  /// thread — and reused for the engine's lifetime. Concurrent batches
+  /// isolate themselves with util::TaskGroup tokens.
   util::ThreadPool& pool();
 
   /// Cache-hit fast path for serving loops: when the request is

@@ -15,12 +15,12 @@
 ///   GET  /healthz    "ok" — a liveness probe.
 ///
 /// Request bodies require Content-Length (411 otherwise; chunked request
-/// bodies are answered 501) bounded by ServeConfig::max_body_bytes
-/// (413 above it); request heads are bounded by max_header_bytes (431).
-/// "Expect: 100-continue" is honored. Connections beyond max_clients
-/// get a 503 and are closed. Shutdown semantics are inherited from
-/// ConnectionServer: the self-pipe wakes blocked reads, in-flight
-/// responses flush, run() returns.
+/// bodies are answered 501) bounded by the server's max_body_bytes
+/// (413 above it); request heads are bounded by 64 KiB (431).
+/// "Expect: 100-continue" is honored. Connections beyond
+/// ListenConfig::max_clients get a 503 and are closed. Shutdown
+/// semantics are inherited from ConnectionServer: the self-pipe wakes
+/// blocked reads, in-flight responses flush, run() returns.
 
 #include <cstdint>
 #include <string>
@@ -61,15 +61,20 @@ bool parse_head(const std::string& head, HttpRequest* req,
 /// `engine` (one cache, one pool, one MetricsRegistry).
 class HttpServer {
  public:
+  /// Default bound on a POST /v1/batch Content-Length (`--max-body`).
+  static constexpr std::size_t kDefaultMaxBodyBytes = 64u << 20;
+
   /// Binds and listens immediately (throws std::runtime_error on
-  /// failure) so port() is valid before run() is called.
-  HttpServer(Engine& engine, ServeConfig config);
+  /// failure) so port() is valid before run() is called. Each batch
+  /// body runs serve_session with `config`; a Content-Length above
+  /// `max_body_bytes` is refused with 413 before any body byte is read.
+  HttpServer(Engine& engine, ServeConfig config, ListenConfig listen = {},
+             std::size_t max_body_bytes = kDefaultMaxBodyBytes);
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
   std::uint16_t port() const { return server_.port(); }
-  const std::string& host() const { return config_.host; }
 
   /// Accept clients until shutdown() is called; joins every connection
   /// thread before returning. Returns 0 on a clean shutdown.
@@ -86,6 +91,7 @@ class HttpServer {
 
   Engine& engine_;
   ServeConfig config_;
+  std::size_t max_body_bytes_;
   ConnectionServer server_;
   Counter& requests_;     ///< ccov_http_requests_total
   Counter& errors_;       ///< ccov_http_errors_total (4xx/5xx answered)

@@ -6,6 +6,8 @@
 ///  - TcpListener / SocketStream: a bound listening socket and a
 ///    ServeStream over one accepted connection, both non-blocking with
 ///    all waiting in poll;
+///  - ShutdownPipe: the self-pipe every server front end (TCP, HTTP,
+///    shm) shuts down through, and the signal handler's target;
 ///  - ConnectionServer: the transport-agnostic accept loop — self-pipe
 ///    shutdown, thread-per-connection, max-clients bound, periodic
 ///    reaping — parameterized over what to do with an accepted socket;
@@ -42,6 +44,48 @@ namespace ccov::engine::net {
 /// one). Returns false and sets *error on malformed specs; never throws.
 bool parse_endpoint(const std::string& spec, std::string* host,
                     std::uint16_t* port, std::string* error);
+
+/// Where a TCP-based front end (`--listen`, `--http`) listens, and how
+/// many clients it serves at once.
+struct ListenConfig {
+  std::string host = "127.0.0.1";
+  std::uint16_t port = 0;  ///< 0 = ephemeral; the server reports the pick
+  /// Concurrent connections beyond this are refused with one in-band
+  /// error (JSONL line on TCP, 503 on HTTP) and closed immediately.
+  std::size_t max_clients = 64;
+};
+
+/// The shutdown self-pipe. notify() writes one byte; from then on the
+/// read end stays readable, so every poll on read_fd() wakes at once.
+/// The destructor disarms install_signal_shutdown's handler if it still
+/// targets write_fd(), so a signal after the owner is gone is a no-op
+/// instead of a write into a closed (possibly reused) fd.
+class ShutdownPipe {
+ public:
+  /// Throws std::runtime_error when the pipe cannot be created.
+  ShutdownPipe();
+  ~ShutdownPipe();
+
+  ShutdownPipe(const ShutdownPipe&) = delete;
+  ShutdownPipe& operator=(const ShutdownPipe&) = delete;
+
+  /// Request shutdown: write one byte. Async-signal-safe; safe to call
+  /// more than once and from any thread.
+  void notify() const;
+
+  /// Has notify() (or a signal handler) fired? Waits up to `wait_ms`
+  /// for it; the default 0 never blocks.
+  bool fired(int wait_ms = 0) const;
+
+  /// Read end, for poll.
+  int read_fd() const { return rd_; }
+  /// Write end — what install_signal_shutdown's handler writes to.
+  int write_fd() const { return wr_; }
+
+ private:
+  int rd_ = -1;
+  int wr_ = -1;
+};
 
 /// Ignore SIGPIPE process-wide so a write to a half-closed socket
 /// returns EPIPE instead of killing the process. Idempotent; called by
@@ -123,8 +167,7 @@ class ConnectionServer {
  public:
   using SessionFn = std::function<void(int client_fd, int wake_fd)>;
 
-  ConnectionServer(const std::string& host, std::uint16_t port,
-                   std::size_t max_clients);
+  explicit ConnectionServer(const ListenConfig& listen);
   ~ConnectionServer();
 
   ConnectionServer(const ConnectionServer&) = delete;
@@ -138,11 +181,11 @@ class ConnectionServer {
   int run(SessionFn session, SessionFn reject);
 
   /// Request shutdown from any thread. Safe to call more than once.
-  void shutdown();
+  void shutdown() { wake_.notify(); }
 
   /// Write end of the self-pipe — async-signal-safe shutdown channel
   /// for signal handlers (write one byte to trigger shutdown).
-  int wake_fd() const { return wake_wr_; }
+  int wake_fd() const { return wake_.write_fd(); }
 
  private:
   struct Connection {
@@ -154,8 +197,7 @@ class ConnectionServer {
 
   TcpListener listener_;
   std::size_t max_clients_;
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
+  ShutdownPipe wake_;
   util::Mutex conns_mu_;
   std::list<Connection> conns_ CCOV_GUARDED_BY(conns_mu_);
 };
@@ -164,19 +206,19 @@ class ConnectionServer {
 /// serve_session. Every connection shares `engine` (one cache, one
 /// pool); each runs the full JSONL protocol independently with its own
 /// per-connection line ids starting at 0. Connections beyond
-/// config.max_clients are answered with one in-band {"ok":false,...}
+/// listen.max_clients are answered with one in-band {"ok":false,...}
 /// line and closed.
 class ServeServer {
  public:
   /// Binds and listens immediately (throws std::runtime_error on
-  /// failure) so port() is valid before run() is called.
-  ServeServer(Engine& engine, ServeConfig config);
+  /// failure) so port() is valid before run() is called. Every
+  /// connection runs serve_session with `config`.
+  ServeServer(Engine& engine, ServeConfig config, ListenConfig listen = {});
 
   ServeServer(const ServeServer&) = delete;
   ServeServer& operator=(const ServeServer&) = delete;
 
   std::uint16_t port() const { return server_.port(); }
-  const std::string& host() const { return config_.host; }
 
   /// Accept clients until shutdown() is called; joins every connection
   /// thread before returning. Returns 0 on a clean shutdown.
@@ -195,17 +237,17 @@ class ServeServer {
 };
 
 /// Install SIGINT/SIGTERM handlers that write one byte to `wake_fd`
-/// (async-signal-safe) — pass ServeServer::wake_fd() or
-/// HttpServer::wake_fd(), or -1 when there is no wake pipe (the stdio
-/// front end, whose blocked read the signal itself interrupts thanks to
-/// the handler's missing SA_RESTART). When `cancel` is non-null the
+/// (async-signal-safe) — pass the wake_fd() of a ServeServer,
+/// HttpServer or shm::ShmServer, or -1 when there is no wake pipe (the
+/// stdio front end, whose blocked read the signal itself interrupts
+/// thanks to the handler's missing SA_RESTART). When `cancel` is non-null the
 /// handler also fires that token (one relaxed atomic store, so still
 /// async-signal-safe), aborting every in-flight solve at its next
 /// ~4k-node poll — shutdown latency is bounded by the poll interval,
 /// not by the deepest running search. The handlers outlive the server
 /// object only as no-ops; intended for the CLI process, which serves
-/// exactly one server per run (ConnectionServer's destructor disarms
-/// the wake fd before closing it). The token must outlive the process's
+/// exactly one server per run (ShutdownPipe's destructor disarms the
+/// wake fd before closing it). The token must outlive the process's
 /// last signal — make it a static in the caller.
 void install_signal_shutdown(int wake_fd, util::CancelToken* cancel = nullptr);
 

@@ -15,8 +15,9 @@
 /// one to a TCP connection, and http.hpp frames one inside an HTTP
 /// request/response pair. Every transport shares the exact same
 /// serve_session, so socket and HTTP responses are byte-identical to
-/// stdio responses for the same request stream. All front ends consume
-/// one ServeConfig, parsed once in the CLI.
+/// stdio responses for the same request stream. Every front end hands
+/// its sessions one ServeConfig; the listener, HTTP and shm settings
+/// belong to the front ends that use them (net.hpp, http.hpp, shm.hpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -54,11 +55,9 @@ class ServeStream {
   virtual bool flush() { return true; }
 };
 
-/// The one configuration every serve front end consumes — stdio,
-/// `--listen` (TCP) and `--http` alike. The CLI parses its serve flags
-/// into exactly one of these; the transports read the fields they need.
+/// The settings serve_session reads — the same on every transport
+/// (stdio, `--listen`, `--http`, `--shm`).
 struct ServeConfig {
-  // --- session (every transport) -----------------------------------------
   /// Worker threads per flushed batch (BatchRunner semantics: 0 =
   /// hardware concurrency, 1 = inline).
   std::size_t jobs = 1;
@@ -83,28 +82,6 @@ struct ServeConfig {
   /// request, so shutdown latency is bounded by the solver's ~4k-node
   /// poll interval instead of the deepest in-flight search. May be null.
   const util::CancelToken* cancel = nullptr;
-
-  // --- listener (TCP and HTTP front ends) --------------------------------
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;  ///< 0 = ephemeral; the server reports the pick
-  /// Concurrent connections beyond this are refused with one in-band
-  /// error (JSONL line on TCP, 503 on HTTP) and closed immediately.
-  std::size_t max_clients = 64;
-
-  // --- HTTP front end ----------------------------------------------------
-  /// Longest accepted request head (request line + headers).
-  std::size_t max_header_bytes = 64 << 10;
-  /// Largest accepted Content-Length for POST /v1/batch; bigger bodies
-  /// are refused with 413 before any byte of the body is read.
-  std::size_t max_body_bytes = 64u << 20;
-
-  // --- shared-memory front end (shm.hpp) ---------------------------------
-  /// POSIX shm segment name for `--shm` (with or without the leading
-  /// '/'); empty = transport not selected.
-  std::string shm_name;
-  /// Per-ring data capacity in bytes (one request ring + one response
-  /// ring per segment); must be a power of two.
-  std::size_t shm_ring_bytes = 1 << 20;
 };
 
 // ---------------------------------------------------------------------------

@@ -30,10 +30,11 @@
 /// down. A second concurrent client fails its claim with "busy"
 /// instead of corrupting the stream.
 ///
-/// Shutdown mirrors net.hpp: ShmServer exposes a self-pipe wake_fd()
-/// for install_signal_shutdown; on shutdown it raises the header flag,
-/// wakes both rings' futexes so a blocked peer re-checks promptly,
-/// drains the session, unmaps and shm_unlink's the segment.
+/// Shutdown mirrors net.hpp: ShmServer owns a net::ShutdownPipe and
+/// exposes its wake_fd() for install_signal_shutdown; on shutdown it
+/// raises the header flag, wakes both rings' futexes so a blocked peer
+/// re-checks promptly, drains the session, unmaps and shm_unlink's the
+/// segment.
 ///
 /// Thread-safety discipline: this transport is deliberately lock-free —
 /// the segment header's claim slot, flags and epoch are std::atomic
@@ -48,6 +49,7 @@
 #include <cstdint>
 #include <string>
 
+#include "ccov/engine/net.hpp"
 #include "ccov/engine/serve.hpp"
 #include "ccov/util/shm_ring.hpp"
 
@@ -117,7 +119,15 @@ bool normalize_shm_name(const std::string& name, std::string* out,
 /// unlinks the segment.
 class ShmServer {
  public:
-  ShmServer(Engine& engine, ServeConfig config);
+  /// Default data bytes per ring (`--shm-ring`).
+  static constexpr std::size_t kDefaultRingBytes = 1 << 20;
+
+  /// `name` is the POSIX shm segment name, with or without the leading
+  /// '/'. `ring_bytes` is the data capacity of each of the two rings
+  /// and must be a power of two >= 64 (std::runtime_error otherwise).
+  /// Every client session runs serve_session with `config`.
+  ShmServer(Engine& engine, ServeConfig config, const std::string& name,
+            std::size_t ring_bytes = kDefaultRingBytes);
   ~ShmServer();
 
   ShmServer(const ShmServer&) = delete;
@@ -134,8 +144,8 @@ class ShmServer {
   void shutdown();
 
   /// Write end of the self-pipe — async-signal-safe shutdown channel
-  /// for install_signal_shutdown, exactly like ConnectionServer.
-  int wake_fd() const { return wake_wr_; }
+  /// for install_signal_shutdown.
+  int wake_fd() const { return wake_.write_fd(); }
 
  private:
   bool shutdown_requested() const;
@@ -143,6 +153,7 @@ class ShmServer {
 
   Engine& engine_;
   ServeConfig config_;
+  net::ShutdownPipe wake_;
   std::string name_;
   void* mem_ = nullptr;
   std::size_t size_ = 0;
@@ -158,8 +169,6 @@ class ShmServer {
   /// successor's.
   std::uint64_t shm_dev_ = 0;
   std::uint64_t shm_ino_ = 0;
-  int wake_rd_ = -1;
-  int wake_wr_ = -1;
 };
 
 /// Client side of the transport: attach to a served segment, claim the

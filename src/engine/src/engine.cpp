@@ -69,13 +69,13 @@ Engine::Engine(EngineOptions opts, AlgorithmRegistry& registry)
 
 util::ThreadPool& Engine::pool() {
   std::call_once(pool_once_, [this] {
-    pool_ = std::make_unique<util::ThreadPool>(opts_.pool_threads);
+    pool_ = std::make_unique<util::ThreadPool>();
   });
   return *pool_;
 }
 
 bool Engine::cacheable(const CoverRequest& req) const {
-  if (!opts_.use_cache || !cacheable_demand(req)) return false;
+  if (!cacheable_demand(req)) return false;
   const Algorithm* algo = registry_.find(req.algorithm);
   return algo && algo->cacheable;
 }

@@ -128,6 +128,9 @@ bool parse_head(const std::string& head, HttpRequest* req, std::string* error) {
 
 namespace {
 
+/// Longest accepted request head (request line + headers).
+constexpr std::size_t kMaxHeaderBytes = 64 << 10;
+
 enum class HeadRead { kOk, kEof, kPartial, kTooLarge, kError };
 
 /// Accumulate socket bytes into `buf` until a full request head is
@@ -135,15 +138,14 @@ enum class HeadRead { kOk, kEof, kPartial, kTooLarge, kError };
 /// request — they are consumed first and no extra read happens if a
 /// head is already complete.
 HeadRead read_head(SocketStream& sock, std::string* buf,
-                   std::size_t max_header, std::size_t* head_end,
-                   std::size_t* body_start) {
+                   std::size_t* head_end, std::size_t* body_start) {
   for (;;) {
     // Leading blank lines between pipelined requests are ignored
     // (RFC 9112 §2.2).
     while (!buf->empty() && (buf->front() == '\r' || buf->front() == '\n'))
       buf->erase(0, 1);
     if (find_head_end(*buf, head_end, body_start)) return HeadRead::kOk;
-    if (buf->size() > max_header) return HeadRead::kTooLarge;
+    if (buf->size() > kMaxHeaderBytes) return HeadRead::kTooLarge;
     char tmp[4096];
     const std::ptrdiff_t r = sock.read_some(tmp, sizeof(tmp));
     if (r < 0) return HeadRead::kError;
@@ -275,10 +277,12 @@ const char kEndpointsBody[] =
 // HttpServer
 // ---------------------------------------------------------------------------
 
-HttpServer::HttpServer(Engine& engine, ServeConfig config)
+HttpServer::HttpServer(Engine& engine, ServeConfig config, ListenConfig listen,
+                       std::size_t max_body_bytes)
     : engine_(engine),
       config_(std::move(config)),
-      server_(config_.host, config_.port, config_.max_clients),
+      max_body_bytes_(max_body_bytes),
+      server_(listen),
       requests_(engine.metrics().counter(
           "ccov_http_requests_total",
           "HTTP requests parsed by the HTTP front end")),
@@ -306,14 +310,13 @@ void HttpServer::handle_connection(int client_fd, int wake_fd) {
   std::string buf;  // unconsumed bytes carried between pipelined requests
   for (;;) {
     std::size_t head_end = 0, body_start = 0;
-    const HeadRead hr =
-        read_head(sock, &buf, config_.max_header_bytes, &head_end, &body_start);
+    const HeadRead hr = read_head(sock, &buf, &head_end, &body_start);
     if (hr == HeadRead::kEof || hr == HeadRead::kError) return;
     if (hr == HeadRead::kTooLarge) {
       errors_.add(1);
       write_response(sock, 431, "text/plain; charset=utf-8",
                      "request head exceeds " +
-                         std::to_string(config_.max_header_bytes) + " bytes\n",
+                         std::to_string(kMaxHeaderBytes) + " bytes\n",
                      /*keep_alive=*/false);
       return;
     }
@@ -358,13 +361,13 @@ void HttpServer::handle_connection(int client_fd, int wake_fd) {
                        /*keep_alive=*/false);
         return;
       }
-      if (req.content_length > config_.max_body_bytes) {
+      if (req.content_length > max_body_bytes_) {
         // Refused before reading one body byte; the unread body makes
         // the connection unusable, so it closes.
         errors_.add(1);
         write_response(sock, 413, "text/plain; charset=utf-8",
                        "body exceeds " +
-                           std::to_string(config_.max_body_bytes) +
+                           std::to_string(max_body_bytes_) +
                            " bytes\n",
                        /*keep_alive=*/false);
         return;

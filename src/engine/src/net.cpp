@@ -5,12 +5,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#ifndef _WIN32
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
@@ -20,44 +20,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
-#include <chrono>
-#endif
-
 namespace ccov::engine::net {
-
-#ifdef _WIN32
-// The net layer is POSIX-only for now; every entry point fails cleanly
-// so the rest of the library stays usable on other platforms.
-bool parse_endpoint(const std::string&, std::string*, std::uint16_t*,
-                    std::string* error) {
-  *error = "net: not supported on this platform";
-  return false;
-}
-void ignore_sigpipe() {}
-TcpListener::TcpListener(const std::string&, std::uint16_t) {
-  throw std::runtime_error("net: not supported on this platform");
-}
-TcpListener::~TcpListener() = default;
-int TcpListener::accept_connection(int, int) { return kFailed; }
-void TcpListener::close() {}
-SocketStream::SocketStream(int fd, int wake_fd) : fd_(fd), wake_fd_(wake_fd) {}
-SocketStream::~SocketStream() = default;
-std::ptrdiff_t SocketStream::read_some(char*, std::size_t) { return -1; }
-bool SocketStream::write_all(const char*, std::size_t) { return false; }
-ConnectionServer::ConnectionServer(const std::string& host, std::uint16_t port,
-                                   std::size_t max_clients)
-    : listener_(host, port), max_clients_(max_clients) {}
-ConnectionServer::~ConnectionServer() = default;
-int ConnectionServer::run(SessionFn, SessionFn) { return 1; }
-void ConnectionServer::shutdown() {}
-void ConnectionServer::reap_finished(bool) {}
-ServeServer::ServeServer(Engine& engine, ServeConfig config)
-    : engine_(engine),
-      config_(std::move(config)),
-      server_(config_.host, config_.port, config_.max_clients) {}
-int ServeServer::run() { return 1; }
-void install_signal_shutdown(int, util::CancelToken*) {}
-#else
 
 namespace {
 
@@ -320,13 +283,13 @@ bool SocketStream::write_all(const char* data, std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// ConnectionServer
+// ShutdownPipe
 // ---------------------------------------------------------------------------
 
 namespace {
 
 /// Self-pipe write end the SIGINT/SIGTERM handlers target; reset when
-/// the owning server is destroyed so a late signal is a no-op instead
+/// its ShutdownPipe is destroyed so a late signal is a no-op instead
 /// of a write into a closed (possibly reused) fd.
 std::atomic<int> g_shutdown_fd{-1};
 
@@ -348,32 +311,45 @@ void on_shutdown_signal(int) {
 
 }  // namespace
 
-ConnectionServer::ConnectionServer(const std::string& host, std::uint16_t port,
-                                   std::size_t max_clients)
-    : listener_(host, port), max_clients_(max_clients) {
-  ignore_sigpipe();
+ShutdownPipe::ShutdownPipe() {
   int pipe_fds[2];
   if (::pipe(pipe_fds) != 0) throw_errno("pipe");
-  wake_rd_ = pipe_fds[0];
-  wake_wr_ = pipe_fds[1];
+  rd_ = pipe_fds[0];
+  wr_ = pipe_fds[1];
+}
+
+ShutdownPipe::~ShutdownPipe() {
+  // Disarm any installed signal handler before the fd goes away.
+  int expected = wr_;
+  g_shutdown_fd.compare_exchange_strong(expected, -1,
+                                        std::memory_order_relaxed);
+  ::close(rd_);
+  ::close(wr_);
+}
+
+void ShutdownPipe::notify() const {
+  const char byte = 's';
+  [[maybe_unused]] const ssize_t rc = ::write(wr_, &byte, 1);
+}
+
+bool ShutdownPipe::fired(int wait_ms) const {
+  pollfd pfd{rd_, POLLIN, 0};
+  return ::poll(&pfd, 1, wait_ms) > 0 &&
+         (pfd.revents & (POLLIN | POLLERR | POLLHUP)) != 0;
+}
+
+// ---------------------------------------------------------------------------
+// ConnectionServer
+// ---------------------------------------------------------------------------
+
+ConnectionServer::ConnectionServer(const ListenConfig& listen)
+    : listener_(listen.host, listen.port), max_clients_(listen.max_clients) {
+  ignore_sigpipe();
 }
 
 ConnectionServer::~ConnectionServer() {
   shutdown();
   reap_finished(/*join_all=*/true);
-  // Disarm any installed signal handler before the fd goes away.
-  int expected = wake_wr_;
-  g_shutdown_fd.compare_exchange_strong(expected, -1,
-                                        std::memory_order_relaxed);
-  if (wake_rd_ >= 0) ::close(wake_rd_);
-  if (wake_wr_ >= 0) ::close(wake_wr_);
-}
-
-void ConnectionServer::shutdown() {
-  if (wake_wr_ >= 0) {
-    const char byte = 's';
-    [[maybe_unused]] const ssize_t rc = ::write(wake_wr_, &byte, 1);
-  }
 }
 
 void ConnectionServer::reap_finished(bool join_all) {
@@ -394,7 +370,7 @@ int ConnectionServer::run(SessionFn session, SessionFn reject) {
     // The 1 s tick bounds how long an idle server keeps finished
     // connection threads unjoined.
     const int client =
-        listener_.accept_connection(wake_rd_, /*timeout_ms=*/1000);
+        listener_.accept_connection(wake_.read_fd(), /*timeout_ms=*/1000);
     if (client == TcpListener::kTick) {
       reap_finished(/*join_all=*/false);
       continue;
@@ -416,14 +392,14 @@ int ConnectionServer::run(SessionFn session, SessionFn reject) {
     if (active >= max_clients_) {
       // Rejected inline on the accepting thread; the callback owns the
       // fd and must close it (a SocketStream destructor does).
-      reject(client, wake_rd_);
+      reject(client, wake_.read_fd());
       continue;
     }
     util::MutexLock lk(conns_mu_);
     conns_.emplace_back();
     Connection& conn = conns_.back();
     conn.thread = std::thread([this, client, &conn, &session] {
-      session(client, wake_rd_);
+      session(client, wake_.read_fd());
       conn.done.store(true, std::memory_order_release);
     });
   }
@@ -441,10 +417,9 @@ int ConnectionServer::run(SessionFn session, SessionFn reject) {
 // ServeServer
 // ---------------------------------------------------------------------------
 
-ServeServer::ServeServer(Engine& engine, ServeConfig config)
-    : engine_(engine),
-      config_(std::move(config)),
-      server_(config_.host, config_.port, config_.max_clients) {}
+ServeServer::ServeServer(Engine& engine, ServeConfig config,
+                         ListenConfig listen)
+    : engine_(engine), config_(std::move(config)), server_(listen) {}
 
 int ServeServer::run() {
   return server_.run(
@@ -470,7 +445,5 @@ void install_signal_shutdown(int wake_fd, util::CancelToken* cancel) {
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
 }
-
-#endif  // _WIN32
 
 }  // namespace ccov::engine::net

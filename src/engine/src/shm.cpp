@@ -12,15 +12,12 @@
 #include <stdexcept>
 #include <utility>
 
-#ifndef _WIN32
 #include <fcntl.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace ccov::engine::shm {
 
@@ -89,37 +86,6 @@ std::uint64_t proc_start_time(std::uint32_t pid) {
   return 0;
 #endif
 }
-
-#ifdef _WIN32
-// The shm transport is POSIX-only, like the net layer: fail cleanly so
-// the rest of the library stays usable elsewhere.
-ShmServer::ShmServer(Engine& engine, ServeConfig config)
-    : engine_(engine), config_(std::move(config)) {
-  throw std::runtime_error("shm: not supported on this platform");
-}
-ShmServer::~ShmServer() = default;
-int ShmServer::run() { return 1; }
-void ShmServer::shutdown() {}
-bool ShmServer::shutdown_requested() const { return true; }
-void ShmServer::reset_session() {}
-ShmClient::~ShmClient() = default;
-bool ShmClient::connect(const std::string&, std::string* error) {
-  *error = "shm: not supported on this platform";
-  return false;
-}
-bool ShmClient::ok() const { return false; }
-bool ShmClient::send(const char*, std::size_t) { return false; }
-bool ShmClient::send_line(const std::string&) { return false; }
-std::size_t ShmClient::try_send(const char*, std::size_t) { return 0; }
-void ShmClient::wait_send(int) {}
-void ShmClient::finish() {}
-bool ShmClient::read_line(std::string*) { return false; }
-std::size_t ShmClient::drain_available(std::string*) { return 0; }
-std::size_t ShmClient::read_some(std::string*) { return 0; }
-bool ShmClient::server_finished() const { return false; }
-void ShmClient::close() {}
-bool ShmClient::session_over() const { return true; }
-#else
 
 namespace {
 
@@ -360,15 +326,16 @@ class ShmServerStream final : public ServeStream {
 // ShmServer
 // ---------------------------------------------------------------------------
 
-ShmServer::ShmServer(Engine& engine, ServeConfig config)
+ShmServer::ShmServer(Engine& engine, ServeConfig config,
+                     const std::string& name, std::size_t ring_bytes)
     : engine_(engine), config_(std::move(config)) {
   std::string err;
-  if (!normalize_shm_name(config_.shm_name, &name_, &err))
+  if (!normalize_shm_name(name, &name_, &err))
     throw std::runtime_error("shm: " + err);
-  if (!util::ShmByteRing::valid_capacity(config_.shm_ring_bytes))
+  if (!util::ShmByteRing::valid_capacity(ring_bytes))
     throw std::runtime_error(
         "shm: ring capacity must be a power of two >= 64 bytes");
-  size_ = segment_bytes(config_.shm_ring_bytes);
+  size_ = segment_bytes(ring_bytes);
 
   // Creation races other servers through an exclusive flock held on
   // the segment fd for this server's whole lifetime: a prober that
@@ -428,7 +395,7 @@ ShmServer::ShmServer(Engine& engine, ServeConfig config)
   header_ = new (base) ShmSegmentHeader();
   header_->magic.store(0, std::memory_order_relaxed);
   header_->version = kShmVersion;
-  header_->ring_capacity = static_cast<std::uint32_t>(config_.shm_ring_bytes);
+  header_->ring_capacity = static_cast<std::uint32_t>(ring_bytes);
   const auto pid = static_cast<std::uint32_t>(::getpid());
   header_->server_pid.store(pid, std::memory_order_relaxed);
   header_->server_start = proc_start_time(pid);
@@ -437,29 +404,13 @@ ShmServer::ShmServer(Engine& engine, ServeConfig config)
   header_->client_eof.store(0, std::memory_order_relaxed);
   header_->server_eof.store(0, std::memory_order_relaxed);
   header_->shutdown.store(0, std::memory_order_relaxed);
-  const std::size_t ring_bytes =
-      util::ShmByteRing::region_bytes(config_.shm_ring_bytes);
-  request_ring_ =
-      util::ShmByteRing::init(base + kHeaderBytes, config_.shm_ring_bytes);
-  response_ring_ = util::ShmByteRing::init(base + kHeaderBytes + ring_bytes,
-                                           config_.shm_ring_bytes);
+  const std::size_t region_bytes = util::ShmByteRing::region_bytes(ring_bytes);
+  request_ring_ = util::ShmByteRing::init(base + kHeaderBytes, ring_bytes);
+  response_ring_ = util::ShmByteRing::init(base + kHeaderBytes + region_bytes,
+                                           ring_bytes);
   // Publish the magic last: a client attaching mid-construction sees a
   // zero magic and rejects the segment instead of racing the init.
   header_->magic.store(kShmMagic, std::memory_order_release);
-
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    const int saved = errno;
-    ::munmap(mem_, size_);
-    mem_ = nullptr;
-    ::shm_unlink(name_.c_str());
-    ::close(shm_fd_);
-    shm_fd_ = -1;
-    errno = saved;
-    throw_errno("pipe");
-  }
-  wake_rd_ = pipe_fds[0];
-  wake_wr_ = pipe_fds[1];
 }
 
 ShmServer::~ShmServer() {
@@ -476,8 +427,6 @@ ShmServer::~ShmServer() {
       ::shm_unlink(name_.c_str());
   }
   if (shm_fd_ >= 0) ::close(shm_fd_);
-  if (wake_rd_ >= 0) ::close(wake_rd_);
-  if (wake_wr_ >= 0) ::close(wake_wr_);
 }
 
 void ShmServer::shutdown() {
@@ -486,18 +435,14 @@ void ShmServer::shutdown() {
     request_ring_.wake_all();
     response_ring_.wake_all();
   }
-  if (wake_wr_ >= 0) {
-    const char byte = 's';
-    [[maybe_unused]] const ssize_t rc = ::write(wake_wr_, &byte, 1);
-  }
+  wake_.notify();
 }
 
 bool ShmServer::shutdown_requested() const {
   if (header_->shutdown.load(std::memory_order_acquire) != 0) return true;
   // The signal path only writes the self-pipe byte (async-signal-safe);
   // promote it to the header flag here so both sides observe it.
-  pollfd pfd{wake_rd_, POLLIN, 0};
-  if (::poll(&pfd, 1, 0) > 0 && (pfd.revents & (POLLIN | POLLERR | POLLHUP))) {
+  if (wake_.fired()) {
     const_cast<ShmServer*>(this)->shutdown();
     return true;
   }
@@ -521,8 +466,7 @@ void ShmServer::reset_session() {
       continue;  // lost a race with a claim or detach; re-evaluate
     }
     if (shutdown_requested()) return;  // teardown unlinks the segment anyway
-    pollfd pfd{wake_rd_, POLLIN, 0};
-    ::poll(&pfd, 1, kWaitMs);
+    wake_.fired(kWaitMs);
   }
   // Bump the epoch first so a stale client's next operation fails, then
   // empty the rings and finally reopen the slot. reset() (all-atomic)
@@ -550,8 +494,7 @@ int ShmServer::run() {
       // Idle: no client holds the slot. Claim latency is off the hot
       // path (a session does millions of requests per claim), so a
       // plain poll tick is plenty.
-      pollfd pfd{wake_rd_, POLLIN, 0};
-      ::poll(&pfd, 1, 10);
+      wake_.fired(/*wait_ms=*/10);
       continue;
     }
     sessions.add(1);
@@ -791,7 +734,5 @@ void ShmClient::close() {
   header_ = nullptr;
   slot_ = 0;
 }
-
-#endif  // _WIN32
 
 }  // namespace ccov::engine::shm

@@ -15,12 +15,8 @@
 #include <utility>
 #include <vector>
 
-#ifdef _WIN32
-#include <process.h>
-#else
 #include <fcntl.h>
 #include <unistd.h>
-#endif
 
 namespace ccov::engine {
 
@@ -210,11 +206,9 @@ std::size_t load_snapshot(std::istream& is, CoverCache& cache) {
 
 namespace {
 
-/// Flush the file's data to stable storage (best effort on platforms
-/// without fsync) so the rename below never publishes a snapshot whose
-/// bytes are still only in the page cache.
+/// Flush the file's data to stable storage so the rename below never
+/// publishes a snapshot whose bytes are still only in the page cache.
 void sync_to_disk(const std::filesystem::path& p) {
-#ifndef _WIN32
   const int fd = ::open(p.c_str(), O_WRONLY | O_CLOEXEC);
   if (fd < 0) throw std::runtime_error("snapshot: cannot reopen " +
                                        p.string() + " for fsync");
@@ -222,9 +216,6 @@ void sync_to_disk(const std::filesystem::path& p) {
   ::close(fd);
   if (rc != 0)
     throw std::runtime_error("snapshot: fsync of " + p.string() + " failed");
-#else
-  (void)p;
-#endif
 }
 
 }  // namespace
@@ -240,11 +231,7 @@ void save_snapshot_file(const std::string& path, const CoverCache& cache) {
   const fs::path target(path);
   fs::path dir = target.parent_path();
   if (dir.empty()) dir = ".";
-#ifdef _WIN32
-  const long pid = static_cast<long>(::_getpid());
-#else
   const long pid = static_cast<long>(::getpid());
-#endif
   const fs::path tmp =
       dir / (target.filename().string() + ".tmp." + std::to_string(pid) + "." +
              std::to_string(save_seq.fetch_add(1, std::memory_order_relaxed)));

@@ -688,10 +688,7 @@ TEST(Chaos, ShmSchedulesNeverKillTheServer) {
   const std::string name =
       "ccov-chaos-" + std::to_string(::getpid());
   eng::Engine engine;
-  eng::ServeConfig config;
-  config.shm_name = name;
-  config.shm_ring_bytes = 1 << 16;
-  shm::ShmServer server(engine, config);
+  shm::ShmServer server(engine, {}, name, 1 << 16);
   std::thread runner([&server] { server.run(); });
   const std::vector<std::string> points = {"shm_read", "shm_write",
                                            "futex_wait", "cache_insert"};

@@ -240,7 +240,9 @@ fi
 
 echo "== ccov serve --http (HTTP loopback, byte-identical to stdio)"
 HTTP_ERR="${TMPDIR_SMOKE}/http.err"
-"${CCOV}" serve --http 127.0.0.1:0 2>"${HTTP_ERR}" &
+HTTP_SNAP="${TMPDIR_SMOKE}/http_store.bin"
+"${CCOV}" serve --http 127.0.0.1:0 --cache-file "${HTTP_SNAP}" \
+  2>"${HTTP_ERR}" &
 HTTP_PID=$!
 HTTP_PORT=""
 for _ in $(seq 100); do
@@ -285,10 +287,15 @@ grep -q "ccov_cache_entries" "${METRICS_RAW}" \
 
 kill -TERM "${HTTP_PID}"
 wait "${HTTP_PID}" || fail "http server should exit 0 on SIGTERM"
+[ -s "${HTTP_SNAP}" ] || fail "http server should save the store on SIGTERM"
+"${CCOV}" cache load --cache-file "${HTTP_SNAP}" | has "snapshot ok" \
+  || fail "snapshot saved on http shutdown should load cleanly"
 
 echo "== ccov serve --shm (shared memory, byte-identical to stdio)"
 SHM_ERR="${TMPDIR_SMOKE}/shm.err"
-"${CCOV}" serve --shm "${SHM_NAME}" 2>"${SHM_ERR}" &
+SHM_SNAP="${TMPDIR_SMOKE}/shm_store.bin"
+"${CCOV}" serve --shm "${SHM_NAME}" --cache-file "${SHM_SNAP}" \
+  2>"${SHM_ERR}" &
 SHM_PID=$!
 for _ in $(seq 100); do
   grep -q "shm serving on" "${SHM_ERR}" 2>/dev/null && break
@@ -306,6 +313,25 @@ cmp -s "${SERVE1}" "${SHM_OUT}" \
 kill -TERM "${SHM_PID}"
 wait "${SHM_PID}" || fail "shm server should exit 0 on SIGTERM"
 [ ! -e "/dev/shm/${SHM_NAME}" ] || fail "shm segment should be unlinked on exit"
+[ -s "${SHM_SNAP}" ] || fail "shm server should save the store on SIGTERM"
+"${CCOV}" cache load --cache-file "${SHM_SNAP}" | has "snapshot ok" \
+  || fail "snapshot saved on shm shutdown should load cleanly"
+
+echo "== ccov serve rejects a second transport and a bad --shm-ring"
+TRANSPORT_ERR="${TMPDIR_SMOKE}/transport.err"
+RC=0
+"${CCOV}" serve --listen :0 --shm "${SHM_NAME}" </dev/null >/dev/null \
+  2>"${TRANSPORT_ERR}" || RC=$?
+[ "${RC}" -eq 1 ] || fail "--listen with --shm should exit 1 (got ${RC})"
+grep -q "mutually exclusive" "${TRANSPORT_ERR}" \
+  || fail "--listen with --shm should name the conflict: $(cat "${TRANSPORT_ERR}")"
+RC=0
+"${CCOV}" serve --shm "${SHM_NAME}" --shm-ring 100 </dev/null >/dev/null \
+  2>"${TRANSPORT_ERR}" || RC=$?
+[ "${RC}" -eq 1 ] || fail "--shm-ring 100 should exit 1 (got ${RC})"
+grep -q "power of two" "${TRANSPORT_ERR}" \
+  || fail "--shm-ring 100 should say why: $(cat "${TRANSPORT_ERR}")"
+[ ! -e "/dev/shm/${SHM_NAME}" ] || fail "a rejected --shm-ring should leave no segment"
 
 echo "== ccov cache stats / load / save / clear"
 "${CCOV}" cache stats --cache-file "${SNAP}" | has "entries: 1" \

@@ -91,7 +91,7 @@ TEST(Registry, RejectsDuplicateAndAnonymous) {
 }
 
 TEST(Registry, EveryBuiltinProducesACoverFor9) {
-  eng::Engine engine({.use_cache = false});
+  eng::Engine engine;
   for (const auto& name : engine.registry().names()) {
     const auto resp = engine.run(make_req(name, 9));
     EXPECT_TRUE(resp.ok) << name << ": " << resp.error;
@@ -339,8 +339,7 @@ TEST(CoverCache, ShardedHitsBackMapAcrossRandomDihedralElements) {
   // that covers the transformed demand.
   const std::uint32_t n = 11;
   ccov::util::Xoshiro256 rng(0xC0FFEEu);
-  eng::Engine engine({.use_cache = true, .cache_capacity = 64,
-                      .cache_shards = 8});
+  eng::Engine engine({.cache_capacity = 64, .cache_shards = 8});
   ASSERT_EQ(engine.cache().shard_count(), 8u);
 
   int hits_checked = 0;

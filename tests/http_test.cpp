@@ -13,6 +13,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "ccov/engine/engine.hpp"
 #include "ccov/engine/http.hpp"
 #include "ccov/engine/serve.hpp"
+#include "stray_signal.hpp"
 
 namespace eng = ccov::engine;
 namespace net = ccov::engine::net;
@@ -159,8 +161,11 @@ class HttpClient {
 /// A running HttpServer on an ephemeral loopback port.
 class HttpHarness {
  public:
-  explicit HttpHarness(eng::ServeConfig config = {})
-      : server_(engine_, std::move(config)),
+  explicit HttpHarness(
+      eng::ServeConfig config = {}, net::ListenConfig listen = {},
+      std::size_t max_body_bytes = net::HttpServer::kDefaultMaxBodyBytes)
+      : server_(engine_, std::move(config), std::move(listen),
+                max_body_bytes),
         runner_([this] { rc_ = server_.run(); }) {}
 
   ~HttpHarness() { stop(); }
@@ -283,9 +288,7 @@ TEST(Http, HeadSplitAcrossManyReadsStillParses) {
 // ---------------------------------------------------------------------------
 
 TEST(Http, OversizedBodyIsRefusedWith413) {
-  eng::ServeConfig config;
-  config.max_body_bytes = 128;
-  HttpHarness server(config);
+  HttpHarness server({}, {}, /*max_body_bytes=*/128);
   HttpClient client(server.port());
   ASSERT_TRUE(client.connected());
   client.send_post("/v1/batch", std::string(1000, 'x'));
@@ -313,13 +316,16 @@ TEST(Http, MissingContentLengthIs411AndChunkedRequestIs501) {
 }
 
 TEST(Http, OversizedHeadIs431) {
-  eng::ServeConfig config;
-  config.max_header_bytes = 256;
-  HttpHarness server(config);
+  HttpHarness server;
   HttpClient client(server.port());
   ASSERT_TRUE(client.connected());
-  client.send_text("GET /metrics HTTP/1.1\r\nX-Padding: " +
-                   std::string(1000, 'p') + "\r\n");
+  // One byte over the 64 KiB head bound, with no terminator; the server
+  // reads every byte before it answers, so its close cannot reset the
+  // connection ahead of the 431.
+  const std::string start = "GET /metrics HTTP/1.1\r\nX-Padding: ";
+  client.send_text(start +
+                   std::string((64 << 10) + 1 - start.size() - 2, 'p') +
+                   "\r\n");
   EXPECT_EQ(client.read_response().status, 431);
 }
 
@@ -434,9 +440,9 @@ TEST(Http, ClientDisconnectingMidResponseLeavesTheServerAlive) {
 }
 
 TEST(Http, RefusesClientsBeyondMaxWith503) {
-  eng::ServeConfig config;
-  config.max_clients = 1;
-  HttpHarness server(config);
+  net::ListenConfig listen;
+  listen.max_clients = 1;
+  HttpHarness server({}, listen);
 
   HttpClient first(server.port());
   ASSERT_TRUE(first.connected());
@@ -467,4 +473,11 @@ TEST(Http, ShutdownWhileKeepAliveConnectionIsIdleReturnsZero) {
   server.stop();
   EXPECT_EQ(server.exit_code(), 0);
   EXPECT_TRUE(idle.read_to_eof().empty());
+}
+
+TEST(Http, DestroyedServerDisarmsTheSignalHandler) {
+  eng::Engine engine;
+  EXPECT_FALSE(signal_reaches_reused_wake_fd([&engine] {
+    return std::make_unique<net::HttpServer>(engine, eng::ServeConfig{});
+  }));
 }

@@ -12,6 +12,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "ccov/engine/engine.hpp"
 #include "ccov/engine/net.hpp"
 #include "ccov/engine/serve.hpp"
+#include "stray_signal.hpp"
 
 namespace eng = ccov::engine;
 namespace net = ccov::engine::net;
@@ -111,8 +113,9 @@ class TestClient {
 /// A running ServeServer on an ephemeral loopback port.
 class ServerHarness {
  public:
-  explicit ServerHarness(eng::ServeConfig config = {})
-      : server_(engine_, std::move(config)),
+  explicit ServerHarness(eng::ServeConfig config = {},
+                         net::ListenConfig listen = {})
+      : server_(engine_, std::move(config), std::move(listen)),
         runner_([this] { rc_ = server_.run(); }) {}
 
   ~ServerHarness() { stop(); }
@@ -334,9 +337,9 @@ TEST(NetServer, ClientDisconnectingMidStreamOnlyKillsItsConnection) {
 }
 
 TEST(NetServer, RefusesClientsBeyondMaxWithAnInBandError) {
-  eng::ServeConfig config;
-  config.max_clients = 1;
-  ServerHarness server(config);
+  net::ListenConfig listen;
+  listen.max_clients = 1;
+  ServerHarness server({}, listen);
 
   TestClient first(server.port());
   ASSERT_TRUE(first.connected());
@@ -368,4 +371,11 @@ TEST(NetServer, ShutdownDrainsBlockedReadersAndReturnsZero) {
   EXPECT_EQ(server.exit_code(), 0);
   // The blocked reader was woken and the connection closed cleanly.
   EXPECT_TRUE(idle.read_to_eof().empty());
+}
+
+TEST(NetServer, DestroyedServerDisarmsTheSignalHandler) {
+  eng::Engine engine;
+  EXPECT_FALSE(signal_reaches_reused_wake_fd([&engine] {
+    return std::make_unique<net::ServeServer>(engine, eng::ServeConfig{});
+  }));
 }

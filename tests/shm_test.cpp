@@ -27,6 +27,7 @@
 #include "ccov/engine/serve.hpp"
 #include "ccov/engine/shm.hpp"
 #include "ccov/util/shm_ring.hpp"
+#include "stray_signal.hpp"
 
 namespace eng = ccov::engine;
 namespace shm = ccov::engine::shm;
@@ -223,10 +224,8 @@ class ServerFixture {
  public:
   explicit ServerFixture(const std::string& name,
                          std::size_t ring_bytes = 1 << 16) {
-    eng::ServeConfig config;
-    config.shm_name = name;
-    config.shm_ring_bytes = ring_bytes;
-    server_ = std::make_unique<shm::ShmServer>(engine_, config);
+    server_ = std::make_unique<shm::ShmServer>(engine_, eng::ServeConfig{},
+                                               name, ring_bytes);
     thread_ = std::thread([this] { server_->run(); });
   }
 
@@ -368,10 +367,8 @@ TEST(ShmServe, SecondServerOnLiveNameRejected) {
   // whole lifetime, so a second server must be turned away even
   // without looking at the header.
   eng::Engine other{eng::EngineOptions{}};
-  eng::ServeConfig config;
-  config.shm_name = name;
   try {
-    shm::ShmServer second(other, config);
+    shm::ShmServer second(other, {}, name);
     FAIL() << "second server on a live name must throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("already being served"),
@@ -394,9 +391,7 @@ TEST(ShmServe, ZeroMagicLeftoverRecycledAfterGrace) {
   ::close(fd);
 
   eng::Engine engine{eng::EngineOptions{}};
-  eng::ServeConfig config;
-  config.shm_name = name;
-  shm::ShmServer server(engine, config);  // must not throw
+  shm::ShmServer server(engine, {}, name);  // must not throw
   EXPECT_EQ(server.name(), path);
 }
 
@@ -469,6 +464,14 @@ TEST(ShmServe, SlotRecyclesAcrossSessions) {
     EXPECT_NE(line.find("\"id\":0"), std::string::npos) << line;
     client.close();
   }
+}
+
+TEST(ShmServe, DestroyedServerDisarmsTheSignalHandler) {
+  const std::string name = unique_shm_name("disarm");
+  eng::Engine engine;
+  EXPECT_FALSE(signal_reaches_reused_wake_fd([&engine, &name] {
+    return std::make_unique<shm::ShmServer>(engine, eng::ServeConfig{}, name);
+  }));
 }
 
 // ---------------------------------------------------------------------------
@@ -557,9 +560,7 @@ TEST(ShmProcess, StaleSegmentRecycledAfterServerDeath) {
   ASSERT_GE(pid, 0);
   if (pid == 0) {
     eng::Engine engine{eng::EngineOptions{}};
-    eng::ServeConfig config;
-    config.shm_name = name;
-    shm::ShmServer server(engine, config);
+    shm::ShmServer server(engine, {}, name);
     ::_exit(0);  // _exit skips the destructor: the segment stays linked
   }
   int status = 0;
@@ -568,9 +569,7 @@ TEST(ShmProcess, StaleSegmentRecycledAfterServerDeath) {
   ASSERT_EQ(WEXITSTATUS(status), 0);
 
   eng::Engine engine{eng::EngineOptions{}};
-  eng::ServeConfig config;
-  config.shm_name = name;
-  shm::ShmServer server(engine, config);  // recycles; must not throw
+  shm::ShmServer server(engine, {}, name);  // recycles; must not throw
   EXPECT_EQ(server.name(), "/" + name);
 }
 

@@ -46,7 +46,6 @@
 #include "ccov/protection/simulator.hpp"
 #include "ccov/util/cli.hpp"
 #include "ccov/util/failpoint.hpp"
-#include "ccov/util/shm_ring.hpp"
 #include "ccov/util/table.hpp"
 #include "ccov/wdm/network.hpp"
 
@@ -330,10 +329,8 @@ int cmd_sweep(const ccov::util::Cli& cli) {
   return failures == 0 ? 0 : 1;
 }
 
-/// The single place serve flags become a ServeConfig — every front end
-/// (stdio, --listen, --http, --shm) consumes the result. The three
-/// transport flags form one mutually-exclusive group: naming more than
-/// one raises a single coherent error listing exactly what was given.
+/// The session flags every serve front end (stdio, --listen, --http,
+/// --shm) hands its sessions.
 ccov::engine::ServeConfig parse_serve_config(const ccov::util::Cli& cli) {
   ccov::engine::ServeConfig config;
   config.jobs = static_cast<std::size_t>(cli.get_int("jobs", 1));
@@ -341,49 +338,47 @@ ccov::engine::ServeConfig parse_serve_config(const ccov::util::Cli& cli) {
   config.cache_file = cli.get("cache-file", "");
   config.max_line_bytes = static_cast<std::size_t>(
       cli.get_int("max-line", static_cast<std::int64_t>(1) << 20));
-  config.max_clients =
-      static_cast<std::size_t>(cli.get_int("max-clients", 64));
-  config.max_body_bytes = static_cast<std::size_t>(cli.get_int(
-      "max-body", static_cast<std::int64_t>(config.max_body_bytes)));
   const std::int64_t deadline_ms = cli.get_int("default-deadline-ms", 0);
   if (deadline_ms < 0)
     throw std::invalid_argument("--default-deadline-ms must be >= 0");
   config.default_deadline_ms = static_cast<std::uint64_t>(deadline_ms);
+  return config;
+}
 
-  const struct {
-    const char* flag;
-    std::string value;
-  } transports[] = {{"listen", cli.get("listen", "")},
-                    {"http", cli.get("http", "")},
-                    {"shm", cli.get("shm", "")}};
+/// The transport flag given — "listen", "http" or "shm" — or "" for
+/// stdio. The three form one mutually-exclusive group: naming more than
+/// one raises a single coherent error listing exactly what was given.
+std::string serve_transport(const ccov::util::Cli& cli) {
   std::vector<std::string> given;
-  for (const auto& t : transports)
-    if (!t.value.empty()) given.push_back(std::string("--") + t.flag);
+  for (const char* flag : {"listen", "http", "shm"})
+    if (!cli.get(flag, "").empty()) given.push_back(flag);
   if (given.size() > 1) {
-    std::string got = given[0];
+    std::string got = "--" + given[0];
     for (std::size_t i = 1; i < given.size(); ++i)
-      got += (i + 1 == given.size() ? " and " : ", ") + given[i];
+      got += (i + 1 == given.size() ? " and --" : ", --") + given[i];
     throw std::invalid_argument(
         "--listen, --http and --shm select the transport and are mutually "
         "exclusive (got " + got + ")");
   }
+  return given.empty() ? "" : given[0];
+}
 
-  for (const auto& t : transports) {
-    if (t.value.empty() || t.flag == std::string("shm")) continue;
+/// --max-clients, plus the endpoint of --listen or --http when that is
+/// the transport.
+ccov::engine::net::ListenConfig parse_listen_config(
+    const ccov::util::Cli& cli, const std::string& transport) {
+  ccov::engine::net::ListenConfig listen;
+  listen.max_clients =
+      static_cast<std::size_t>(cli.get_int("max-clients", 64));
+  if (transport == "listen" || transport == "http") {
+    const std::string spec = cli.get(transport, "");
     std::string err;
-    if (!ccov::engine::net::parse_endpoint(t.value, &config.host,
-                                           &config.port, &err))
-      throw std::invalid_argument("--" + std::string(t.flag) + " '" +
-                                  t.value + "': " + err);
+    if (!ccov::engine::net::parse_endpoint(spec, &listen.host, &listen.port,
+                                           &err))
+      throw std::invalid_argument("--" + transport + " '" + spec + "': " +
+                                  err);
   }
-  config.shm_name = cli.get("shm", "");
-  config.shm_ring_bytes = static_cast<std::size_t>(cli.get_int(
-      "shm-ring", static_cast<std::int64_t>(config.shm_ring_bytes)));
-  if (!config.shm_name.empty() &&
-      !ccov::util::ShmByteRing::valid_capacity(config.shm_ring_bytes))
-    throw std::invalid_argument(
-        "--shm-ring must be a power of two >= 64 bytes");
-  return config;
+  return listen;
 }
 
 int cmd_serve(const ccov::util::Cli& cli) {
@@ -399,7 +394,17 @@ int cmd_serve(const ccov::util::Cli& cli) {
       return 2;
     }
   }
+  // Every serve flag is parsed before anything binds or loads.
   ccov::engine::ServeConfig config = parse_serve_config(cli);
+  const std::string transport = serve_transport(cli);
+  const ccov::engine::net::ListenConfig listen =
+      parse_listen_config(cli, transport);
+  const auto max_body_bytes = static_cast<std::size_t>(cli.get_int(
+      "max-body", static_cast<std::int64_t>(
+                      ccov::engine::net::HttpServer::kDefaultMaxBodyBytes)));
+  const auto shm_ring_bytes = static_cast<std::size_t>(cli.get_int(
+      "shm-ring", static_cast<std::int64_t>(
+                      ccov::engine::shm::ShmServer::kDefaultRingBytes)));
   // Graceful-degradation policy: "greedy" answers deadline-expired exact
   // solves with the greedy cover flagged degraded:true; "none" (or no
   // flag) answers them timed_out:true.
@@ -407,9 +412,6 @@ int cmd_serve(const ccov::util::Cli& cli) {
   if (!fallback.empty() && fallback != "none" && fallback != "greedy")
     throw std::invalid_argument("--fallback must be 'greedy' or 'none' (got '" +
                                 fallback + "')");
-  const bool listen = !cli.get("listen", "").empty();
-  const bool http = !cli.get("http", "").empty();
-  const bool shm = !config.shm_name.empty();
 
   // The shutdown token the SIGINT/SIGTERM handler fires. Static because
   // a signal can arrive after cmd_serve unwinds (the handlers stay
@@ -435,27 +437,30 @@ int cmd_serve(const ccov::util::Cli& cli) {
               << config.cache_file << "\n";
   }
 
+  // Every front end but stdio: point SIGINT/SIGTERM at the server's
+  // wake pipe, announce where it serves (scripts parse these lines) and
+  // run it until shutdown.
+  const auto run_server = [&](auto& server, const std::string& where) {
+    ccov::engine::net::install_signal_shutdown(server.wake_fd(),
+                                               &shutdown_token);
+    std::cerr << "serve: " << where << "\n";
+    return server.run();
+  };
+  const auto endpoint = [&](std::uint16_t port) {
+    return listen.host + ":" + std::to_string(port);
+  };
   int rc = 0;
-  if (http) {
-    ccov::engine::net::HttpServer server(engine, config);
-    ccov::engine::net::install_signal_shutdown(server.wake_fd(),
-                                               &shutdown_token);
-    std::cerr << "serve: http listening on " << server.host() << ":"
-              << server.port() << "\n";
-    rc = server.run();
-  } else if (listen) {
-    ccov::engine::net::ServeServer server(engine, config);
-    ccov::engine::net::install_signal_shutdown(server.wake_fd(),
-                                               &shutdown_token);
-    std::cerr << "serve: listening on " << server.host() << ":"
-              << server.port() << "\n";
-    rc = server.run();
-  } else if (shm) {
-    ccov::engine::shm::ShmServer server(engine, config);
-    ccov::engine::net::install_signal_shutdown(server.wake_fd(),
-                                               &shutdown_token);
-    std::cerr << "serve: shm serving on " << server.name() << "\n";
-    rc = server.run();
+  if (transport == "http") {
+    ccov::engine::net::HttpServer server(engine, config, listen,
+                                         max_body_bytes);
+    rc = run_server(server, "http listening on " + endpoint(server.port()));
+  } else if (transport == "listen") {
+    ccov::engine::net::ServeServer server(engine, config, listen);
+    rc = run_server(server, "listening on " + endpoint(server.port()));
+  } else if (transport == "shm") {
+    ccov::engine::shm::ShmServer server(engine, config, cli.get("shm", ""),
+                                        shm_ring_bytes);
+    rc = run_server(server, "shm serving on " + server.name());
   } else {
     // Unsynchronized streams let the stdio transport's read_some drain
     // whole buffered lines via readsome() instead of one byte per call
