@@ -1,23 +1,27 @@
 // Experiment S1 — microbenchmarks (google-benchmark).
 //
 // Throughput of the library's kernels: construction, validation, DRC
-// checking, routing and protection simulation. Not a paper table; included
-// so performance regressions in the combinatorial core are visible.
+// checking, routing, the greedy baselines and protection simulation. Not
+// a paper table; included so performance regressions in the combinatorial
+// core are visible.
 
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string_view>
 #include <vector>
 
+#include "ccov/baselines/triple_cover.hpp"
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/construct.hpp"
 #include "ccov/covering/drc.hpp"
 #include "ccov/covering/greedy.hpp"
 #include "ccov/covering/solver.hpp"
 #include "ccov/engine/cache.hpp"
+#include "ccov/graph/graph.hpp"
 #include "ccov/protection/simulator.hpp"
 #include "ccov/util/prng.hpp"
 #include "ccov/wdm/network.hpp"
@@ -45,7 +49,26 @@ static void BM_ValidateCover(benchmark::State& state) {
   for (auto _ : state)
     benchmark::DoNotOptimize(covering::validate_cover(cover));
 }
-BENCHMARK(BM_ValidateCover)->Arg(21)->Arg(51)->Arg(101);
+BENCHMARK(BM_ValidateCover)->Arg(21)->Arg(51)->Arg(101)->Arg(151);
+
+// An explicit demand as the serve path validates it: 128 distinct random
+// chords on n = 64 and the greedy's cover of them.
+static void BM_ValidateCoverAgainst(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto chords = static_cast<std::size_t>(state.range(1));
+  util::Xoshiro256 rng(64);
+  std::set<std::pair<std::uint32_t, std::uint32_t>> picked;
+  graph::Graph demand(n);
+  while (picked.size() < chords) {
+    const auto u = static_cast<std::uint32_t>(rng.below(n));
+    const auto v = static_cast<std::uint32_t>(rng.below(n));
+    if (u < v && picked.insert({u, v}).second) demand.add_edge(u, v);
+  }
+  const auto cover = covering::greedy_cover_demand(n, demand);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(covering::validate_cover_against(cover, demand));
+}
+BENCHMARK(BM_ValidateCoverAgainst)->Args({64, 128});
 
 static void BM_DrcCheck(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
@@ -76,6 +99,13 @@ static void BM_GreedyCover(benchmark::State& state) {
                           static_cast<std::int64_t>(n) * (n - 1) / 2);
 }
 BENCHMARK(BM_GreedyCover)->Arg(10)->Arg(20)->Arg(30)->Arg(64)->Arg(128);
+
+static void BM_TripleCover(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(baselines::greedy_triple_cover(n));
+}
+BENCHMARK(BM_TripleCover)->Arg(60);
 
 // The exact-search kernels. items/s reports branch nodes per second, so a
 // regression that re-introduces per-node allocation or rescans shows up as

@@ -39,3 +39,8 @@ int ccov_fuzz_failpoint(const std::uint8_t* data, std::size_t size);
 /// D_n scan in tests/reference_canonical_key.hpp. Unlike the parse
 /// surfaces above it aborts on a mismatch, not only on a crash.
 int ccov_fuzz_canonical_key(const std::uint8_t* data, std::size_t size);
+
+/// covering/cover.hpp validate_cover and validate_cover_against —
+/// differential against the std::map validator in
+/// tests/reference_validate.hpp; aborts on any report mismatch.
+int ccov_fuzz_validate_cover(const std::uint8_t* data, std::size_t size);

@@ -1,8 +1,8 @@
 #include "ccov/baselines/triple_cover.hpp"
 
-#include <set>
 #include <stdexcept>
 
+#include "ccov/covering/chord_bitset.hpp"
 #include "ccov/covering/drc.hpp"
 #include "ccov/util/ints.hpp"
 
@@ -17,32 +17,29 @@ std::uint64_t triple_covering_number(std::uint32_t n) {
 
 std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n) {
   using covering::Vertex;
-  std::set<std::pair<Vertex, Vertex>> uncovered;
-  for (Vertex a = 0; a < n; ++a)
-    for (Vertex b = a + 1; b < n; ++b) uncovered.insert({a, b});
+  covering::ChordBitset uncovered(n);
+  uncovered.set_all_chords();
+  const auto open = [&](Vertex u, Vertex v) {
+    return u < v ? uncovered.test(u, v) : uncovered.test(v, u);
+  };
 
   std::vector<covering::Cycle> out;
-  while (!uncovered.empty()) {
-    const auto [a, b] = *uncovered.begin();
+  Vertex a = 0, b = 0;
+  while (uncovered.first(a, b)) {
     // Pick the third vertex completing the most uncovered pairs.
     Vertex best = (a + 1) % n;
     int best_fresh = -1;
     for (Vertex w = 0; w < n; ++w) {
       if (w == a || w == b) continue;
-      int fresh = 1;  // (a, b) itself
-      if (uncovered.count({std::min(a, w), std::max(a, w)})) ++fresh;
-      if (uncovered.count({std::min(b, w), std::max(b, w)})) ++fresh;
+      const int fresh = 1 + open(a, w) + open(b, w);  // 1 for (a, b) itself
       if (fresh > best_fresh) {
         best_fresh = fresh;
         best = w;
       }
     }
     covering::Cycle tri{a, b, best};
-    for (std::size_t i = 0; i < 3; ++i) {
-      Vertex u = tri[i], v = tri[(i + 1) % 3];
-      if (u > v) std::swap(u, v);
-      uncovered.erase({u, v});
-    }
+    covering::for_each_chord(
+        tri, [&](Vertex u, Vertex v) { uncovered.clear(u, v); });
     out.push_back(std::move(tri));
   }
   return out;

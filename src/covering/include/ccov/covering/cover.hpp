@@ -38,10 +38,23 @@ struct ValidationReport {
 
 /// Validate against the all-to-all demand K_n: every cycle must satisfy the
 /// DRC on C_n and every chord of K_n must be covered at least once.
+///
+/// Report: the first structurally invalid cycle (fewer than 3 vertices, a
+/// vertex >= n, a repeat) ends the check with that error; otherwise each
+/// DRC violation is counted in non_drc_cycles, the first one named, and
+/// coverage is not reported. Otherwise uncovered_chords sums each demand
+/// chord's shortfall, the lexicographically first short chord named;
+/// duplicate_coverage sums coverage beyond the demand, chords outside it
+/// included. One pass over the cycles into a flat counter per chord of
+/// K_n: O(n^2 + sum of cycle lengths) time, n(n-1)/2 counters.
 ValidationReport validate_cover(const RingCover& cover);
 
-/// Validate against an arbitrary demand (multi)graph on n vertices: each
-/// demand edge must be covered with at least its multiplicity.
+/// Validate against an arbitrary demand (multi)graph: each demand edge
+/// must be covered with at least its multiplicity. Same report as
+/// validate_cover; a demand edge with a vertex >= cover.n is simply never
+/// covered. Counters exist only for the m demand edges, found by binary
+/// search: O((m + sum of cycle lengths) log m) time and O(m) counters,
+/// whatever n is (plus n stamps once a cycle fails the DRC).
 ValidationReport validate_cover_against(const RingCover& cover,
                                         const graph::Graph& demand);
 

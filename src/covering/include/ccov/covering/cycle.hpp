@@ -71,7 +71,8 @@ inline void for_each_chord(const CycleT& c, Fn&& fn) {
 }
 
 /// True when the sequence is a structurally valid cycle: >= 3 vertices,
-/// all distinct, all < n.
+/// all distinct, all < n. Allocation-free: O(k) when the sequence is
+/// circularly ordered on C_n (see drc_winding), O(k^2) otherwise.
 bool is_valid_cycle(const Cycle& c, std::uint32_t n);
 
 /// The chords (logical edges) covered by the cycle, normalized u < v.

@@ -1,17 +1,22 @@
 #include "ccov/covering/cycle.hpp"
 
 #include <algorithm>
-#include <set>
+
+#include "ccov/covering/drc.hpp"
 
 namespace ccov::covering {
 
 bool is_valid_cycle(const Cycle& c, std::uint32_t n) {
-  if (c.size() < 3) return false;
-  std::set<Vertex> seen;
-  for (Vertex v : c) {
+  const std::size_t k = c.size();
+  if (k < 3 || k > n) return false;
+  for (Vertex v : c)
     if (v >= n) return false;
-    if (!seen.insert(v).second) return false;
-  }
+  // A sequence that winds once around C_n has distinct vertices by
+  // construction; only the others need the pairwise scan.
+  if (drc_winding(n, c) != 0) return true;
+  for (std::size_t i = 0; i < k; ++i)
+    for (std::size_t j = i + 1; j < k; ++j)
+      if (c[i] == c[j]) return false;
   return true;
 }
 

@@ -6,38 +6,31 @@
 
 namespace ccov::covering {
 
-namespace {
-
-/// Sum of forward (clockwise) gaps along the cycle; the cycle is clockwise
-/// circularly ordered iff this equals n (the walk winds exactly once).
-std::uint64_t forward_gap_sum(const ring::Ring& r, const Cycle& c) {
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < c.size(); ++i) {
+int drc_winding(std::uint32_t n, std::span<const Vertex> c) {
+  const std::size_t k = c.size();
+  if (k < 3) return 0;
+  std::uint64_t fwd = 0;
+  for (std::size_t i = 0; i < k; ++i) {
     const Vertex u = c[i];
-    const Vertex v = c[(i + 1) % c.size()];
-    if (u == v) return 0;  // invalid cycle; reject
-    sum += r.cw_dist(u, v);
+    const Vertex v = c[i + 1 == k ? 0 : i + 1];
+    if (u >= n || u == v) return 0;
+    fwd += v > u ? v - u : std::uint64_t{n} - (u - v);
   }
-  return sum;
+  if (fwd == n) return 1;
+  if (fwd == (k - 1) * std::uint64_t{n}) return -1;
+  return 0;
 }
 
-}  // namespace
-
 bool is_circularly_ordered(const ring::Ring& r, const Cycle& c) {
-  if (!is_valid_cycle(c, r.size())) return false;
-  if (forward_gap_sum(r, c) == r.size()) return true;
-  Cycle rev(c.rbegin(), c.rend());
-  return forward_gap_sum(r, rev) == r.size();
+  return drc_winding(r.size(), c) != 0;
 }
 
 std::optional<std::vector<ring::Arc>> drc_route(const ring::Ring& r,
                                                 const Cycle& c) {
-  if (!is_valid_cycle(c, r.size())) return std::nullopt;
+  const int winding = drc_winding(r.size(), c);
+  if (winding == 0) return std::nullopt;
   Cycle seq = c;
-  if (forward_gap_sum(r, seq) != r.size()) {
-    std::reverse(seq.begin(), seq.end());
-    if (forward_gap_sum(r, seq) != r.size()) return std::nullopt;
-  }
+  if (winding < 0) std::reverse(seq.begin(), seq.end());
   std::vector<ring::Arc> arcs;
   arcs.reserve(seq.size());
   for (std::size_t i = 0; i < seq.size(); ++i) {

@@ -37,7 +37,9 @@ struct CoverRequest {
   bool validate = true;
   /// Explicit demand chords (normalized internally); empty means the
   /// all-to-all demand K_n. Only demand-aware algorithms ("greedy") accept
-  /// a non-empty demand.
+  /// a non-empty demand. A chord listed twice is demanded once: the
+  /// answer and its validation treat the demand as a set (the cache key
+  /// still sees the list as given).
   std::vector<graph::Edge> demand;
   /// Wall-clock budget in milliseconds; 0 means none. A wire field (the
   /// JSONL protocol's "deadline_ms"), but NOT part of the canonical cache
@@ -82,8 +84,9 @@ struct CoverResponse {
 /// comparisons rely on.
 std::string deterministic_row(const CoverResponse& resp);
 
-/// Build a demand Graph on `n` vertices from explicit chords (multiplicity
-/// preserved; each edge normalized u <= v).
+/// Build a demand Graph on `n` vertices from explicit chords: each edge
+/// normalized u <= v, repeated chords collapsed to one (a demand is a set
+/// of chords, as the greedy that serves it treats it).
 graph::Graph demand_graph(std::uint32_t n,
                           const std::vector<graph::Edge>& demand);
 

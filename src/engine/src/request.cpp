@@ -1,5 +1,6 @@
 #include "ccov/engine/request.hpp"
 
+#include <algorithm>
 #include <sstream>
 
 #include "ccov/covering/cycle.hpp"
@@ -25,8 +26,16 @@ std::string deterministic_row(const CoverResponse& resp) {
 
 graph::Graph demand_graph(std::uint32_t n,
                           const std::vector<graph::Edge>& demand) {
+  std::vector<graph::Edge> chords;
+  chords.reserve(demand.size());
+  for (const auto& e : demand) chords.push_back(graph::normalized(e));
+  const auto lex = [](const graph::Edge& x, const graph::Edge& y) {
+    return x.u != y.u ? x.u < y.u : x.v < y.v;
+  };
+  std::sort(chords.begin(), chords.end(), lex);
+  chords.erase(std::unique(chords.begin(), chords.end()), chords.end());
   graph::Graph g(n);
-  for (const auto& e : demand) g.add_edge(e.u, e.v);
+  for (const auto& e : chords) g.add_edge(e.u, e.v);
   return g;
 }
 

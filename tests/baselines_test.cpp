@@ -7,6 +7,7 @@
 #include "ccov/baselines/triple_cover.hpp"
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/construct.hpp"
+#include "reference_validate.hpp"
 
 using namespace ccov;
 using namespace ccov::baselines;
@@ -31,6 +32,13 @@ TEST(TripleCover, FortHedlundKnownValues) {
   EXPECT_EQ(triple_covering_number(7), 7u);   // Fano plane
   EXPECT_EQ(triple_covering_number(9), 12u);  // affine plane AG(2,3)
   EXPECT_EQ(triple_covering_number(13), 26u); // Steiner system S(2,3,13)
+}
+
+TEST(TripleCover, GreedyMatchesSetReference) {
+  for (std::uint32_t n = 3; n <= 150; ++n)
+    ASSERT_EQ(greedy_triple_cover(n),
+              covering::reference::greedy_triple_cover(n))
+        << n;
 }
 
 TEST(TripleCover, GreedyCoversEverything) {

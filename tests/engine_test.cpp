@@ -1113,6 +1113,45 @@ TEST(Engine, OutOfRangeDemandIsAnsweredTheSameColdAndWarm) {
             eng::canonical_request_key(in_range).key);
 }
 
+TEST(Engine, RepeatedDemandChordIsDemandedOnce) {
+  // The greedy covers the demand as a set, so a chord listed twice is
+  // validated once too: both requests get the same valid cover.
+  eng::Engine engine;
+  auto repeated = make_req("greedy", 6);
+  repeated.demand = {{0, 1}, {1, 0}, {2, 4}};
+  auto once = make_req("greedy", 6);
+  once.demand = {{0, 1}, {2, 4}};
+  const eng::CoverResponse a = engine.run(repeated);
+  const eng::CoverResponse b = engine.run(once);
+  ASSERT_TRUE(a.ok) << a.error;
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_TRUE(a.validated);
+  EXPECT_TRUE(a.valid);
+  EXPECT_TRUE(b.valid);
+  EXPECT_EQ(ccov::covering::to_string(a.cover),
+            ccov::covering::to_string(b.cover));
+  // Keys still see the list as given: two entries, equal answers.
+  EXPECT_NE(eng::canonical_request_key(repeated).key,
+            eng::canonical_request_key(once).key);
+  EXPECT_EQ(engine.cache().size(), 2u);
+  EXPECT_EQ(eng::demand_graph(6, repeated.demand).num_edges(), 2u);
+}
+
+TEST(Serve, RepeatedDemandChordLineIsValid) {
+  const std::string out = run_serve(
+      "{\"algo\":\"greedy\",\"n\":6,\"demand\":[[0,1],[0,1],[2,4]]}\n"
+      "{\"algo\":\"greedy\",\"n\":6,\"demand\":[[0,1],[2,4]]}\n",
+      1, 1);
+  std::vector<std::string> lines;
+  std::istringstream is(out);
+  for (std::string l; std::getline(is, l);) lines.push_back(l);
+  ASSERT_EQ(lines.size(), 2u) << out;
+  EXPECT_NE(lines[0].find("\"valid\":true"), std::string::npos) << lines[0];
+  // Same answer as the line without the repeat, up to the id.
+  EXPECT_EQ(lines[0].substr(lines[0].find(",\"ok\"")),
+            lines[1].substr(lines[1].find(",\"ok\"")));
+}
+
 TEST(Serve, LoopIsIndexAlignedAndByteIdenticalAcrossJobs) {
   const std::string input =
       R"({"algo":"construct","n":9})"
