@@ -51,11 +51,9 @@ static void BM_ValidateCover(benchmark::State& state) {
 }
 BENCHMARK(BM_ValidateCover)->Arg(21)->Arg(51)->Arg(101)->Arg(151);
 
-// An explicit demand as the serve path validates it: 128 distinct random
-// chords on n = 64 and the greedy's cover of them.
-static void BM_ValidateCoverAgainst(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  const auto chords = static_cast<std::size_t>(state.range(1));
+// An explicit demand as the serve path answers it: `chords` distinct
+// random chords on a ring of size n.
+static graph::Graph random_demand(std::uint32_t n, std::size_t chords) {
   util::Xoshiro256 rng(64);
   std::set<std::pair<std::uint32_t, std::uint32_t>> picked;
   graph::Graph demand(n);
@@ -64,6 +62,14 @@ static void BM_ValidateCoverAgainst(benchmark::State& state) {
     const auto v = static_cast<std::uint32_t>(rng.below(n));
     if (u < v && picked.insert({u, v}).second) demand.add_edge(u, v);
   }
+  return demand;
+}
+
+// Validating the greedy's cover of 128 random chords on n = 64.
+static void BM_ValidateCoverAgainst(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto demand =
+      random_demand(n, static_cast<std::size_t>(state.range(1)));
   const auto cover = covering::greedy_cover_demand(n, demand);
   for (auto _ : state)
     benchmark::DoNotOptimize(covering::validate_cover_against(cover, demand));
@@ -98,7 +104,25 @@ static void BM_GreedyCover(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n) * (n - 1) / 2);
 }
-BENCHMARK(BM_GreedyCover)->Arg(10)->Arg(20)->Arg(30)->Arg(64)->Arg(128);
+BENCHMARK(BM_GreedyCover)
+    ->Arg(10)
+    ->Arg(20)
+    ->Arg(30)
+    ->Arg(58)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(150);
+
+// The greedy over the demand BM_ValidateCoverAgainst validates.
+static void BM_GreedyCoverDemand(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const auto demand =
+      random_demand(n, static_cast<std::size_t>(state.range(1)));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(covering::greedy_cover_demand(n, demand));
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+}
+BENCHMARK(BM_GreedyCoverDemand)->Args({64, 128});
 
 static void BM_TripleCover(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

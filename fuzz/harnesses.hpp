@@ -44,3 +44,8 @@ int ccov_fuzz_canonical_key(const std::uint8_t* data, std::size_t size);
 /// differential against the std::map validator in
 /// tests/reference_validate.hpp; aborts on any report mismatch.
 int ccov_fuzz_validate_cover(const std::uint8_t* data, std::size_t size);
+
+/// covering/greedy.hpp greedy_cover_demand — differential against the
+/// ChordBitset greedy in tests/reference_greedy.hpp; aborts on any cover
+/// or exception mismatch.
+int ccov_fuzz_greedy_cover(const std::uint8_t* data, std::size_t size);

@@ -3,8 +3,8 @@
 /// The Eilam-Moran-Zaks objective (paper ref [3]): same ring survivability
 /// conditions, but minimizing the SUM OF RING SIZES (total vertices over
 /// all sub-networks) instead of the number of sub-networks. This module
-/// evaluates that objective on any cover and provides a greedy heuristic
-/// targeting it, letting the benchmarks contrast the two cost models
+/// evaluates that objective on any cover and on the count-greedy,
+/// letting the benchmarks contrast the two cost models
 /// (which coincide asymptotically on K_n because optimal covers use only
 /// C3/C4, but diverge on sparse instances).
 
@@ -18,18 +18,15 @@ namespace ccov::baselines {
 /// Sum of cycle sizes (the EMZ cost).
 std::uint64_t emz_objective(const covering::RingCover& cover);
 
-/// Lower bound on the EMZ cost for covering a demand graph on C_n: every
-/// demand edge must appear as a cycle edge, a size-k cycle supplies k
-/// edges, and a DRC cycle's arcs tile the ring, so
-///   sum sizes >= max(#demands distributed, size-3 floor per cycle ...).
-/// We use: ceil(total_minor_load / n) cycles minimum, each of size >= 3,
-/// plus the edge-count bound (sum sizes >= #demand edges when no edge is
-/// covered twice is not valid for coverings; we use the load bound).
+/// Lower bound on the EMZ cost of covering K_n on C_n:
+/// 3 * parity_lower_bound(n), since any cover needs at least
+/// parity_lower_bound(n) cycles and each has at least 3 vertices.
 std::uint64_t emz_lower_bound(std::uint32_t n);
 
-/// Greedy cover of K_n minimizing size-cost: prefers cycles maximizing
-/// fresh-edges-per-vertex (triangles and quads tie at 1.0 when fully
-/// fresh, so this behaves like the count-greedy but never pads).
+/// covering::greedy_cover(n) unchanged: the count-greedy already builds
+/// only C3/C4, so it serves as the size-cost heuristic too. A separate
+/// entry point lets the benchmarks report the EMZ objective under its
+/// own name.
 covering::RingCover emz_greedy_cover(std::uint32_t n);
 
 }  // namespace ccov::baselines

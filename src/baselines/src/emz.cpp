@@ -17,11 +17,6 @@ std::uint64_t emz_lower_bound(std::uint32_t n) {
 }
 
 covering::RingCover emz_greedy_cover(std::uint32_t n) {
-  // The count-greedy already prefers high fresh-edge cycles; since C3/C4
-  // have the same best-case edges-per-vertex ratio, reuse it. Kept as a
-  // distinct entry point so the benchmark reports the EMZ objective on a
-  // heuristic tuned for it (and so future size-specific tweaks have a
-  // home).
   return covering::greedy_cover(n);
 }
 

@@ -2,13 +2,13 @@
 /// \file chord_bitset.hpp
 /// Packed bitset over the chords (a, b), a < b, of K_n. This is the
 /// word-parallel state representation behind the exact solver and the
-/// greedy baseline: chord (a, b) maps to bit a*n + b, so lexicographic
-/// order on chords equals ascending bit index and "first uncovered
-/// chord" is a countr_zero scan instead of an O(n^2) rescan.
+/// triple-cover baseline: chord (a, b) maps to bit a*n + b, so
+/// lexicographic order on chords equals ascending bit index and "first
+/// uncovered chord" is a countr_zero scan instead of an O(n^2) rescan.
 ///
 /// All mutating operations are O(1); scans are O(n^2 / 64) words. The
 /// only allocation is the word vector in the constructor — the solver
-/// and greedy reuse one instance for an entire search.
+/// reuses one instance for an entire search.
 
 #include <bit>
 #include <cstdint>

@@ -6,6 +6,8 @@
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/greedy.hpp"
 #include "ccov/graph/generators.hpp"
+#include "ccov/util/prng.hpp"
+#include "reference_greedy.hpp"
 
 using namespace ccov::covering;
 
@@ -79,10 +81,81 @@ TEST(GreedyDemand, MultigraphDemandCoveredWithMultiplicity) {
   demand.add_edge(0, 3);
   demand.add_edge(0, 3);
   const auto cover = greedy_cover_demand(6, demand);
-  // Each chord instance needs its own coverage... the greedy covers the
-  // chord set, so a single coverage satisfies the set but not multiplicity.
-  // Validate against the simple version of the demand.
+  // The greedy covers the demand's chord set: a repeated chord is one
+  // uncovered chord, covered once. Validate against the simple demand.
   ccov::graph::Graph simple(6);
   simple.add_edge(0, 3);
   EXPECT_TRUE(validate_cover_against(cover, simple).ok);
+}
+
+// The word-parallel kernel against the ChordBitset greedy it replaced
+// (tests/reference_greedy.hpp), cycle for cycle. The reference costs
+// O(n^4) on K_n, minutes under sanitizers in one piece, so ring sizes
+// are split into shards of similar cost. Together they cover K_n for
+// n = 3..150 and random demands for n = 3..200, crossing the 63/64/65
+// and 127/128/129 row-word boundaries. Shard i holds the ring sizes
+// shard_lo(i)..kShardEnd[i].
+constexpr std::uint32_t kShardEnd[] = {99, 114, 123, 131, 137, 142, 146, 200};
+
+constexpr std::uint32_t shard_lo(int i) {
+  return i == 0 ? 3 : kShardEnd[i - 1] + 1;
+}
+
+class GreedyOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(GreedyOracle, KnMatchesReference) {
+  const std::uint32_t lo = shard_lo(GetParam()), hi = kShardEnd[GetParam()];
+  for (std::uint32_t n = lo; n <= hi && n <= 150; ++n)
+    ASSERT_EQ(to_string(greedy_cover(n)),
+              to_string(reference::greedy_cover(n)))
+        << n;
+}
+
+TEST_P(GreedyOracle, DemandsMatchReference) {
+  const std::uint32_t lo = shard_lo(GetParam()), hi = kShardEnd[GetParam()];
+  const auto same = [](std::uint32_t n, const ccov::graph::Graph& demand) {
+    return to_string(greedy_cover_demand(n, demand)) ==
+           to_string(reference::greedy_cover_demand(n, demand));
+  };
+  ccov::util::Xoshiro256 rng(17 + lo);
+  for (int trial = 0; trial < 50; ++trial) {
+    const auto n = static_cast<std::uint32_t>(lo + rng.below(hi - lo + 1));
+    const auto chords = rng.below(401);
+    ccov::graph::Graph demand(n);
+    for (std::uint64_t k = 0; k < chords; ++k) {
+      const auto u = static_cast<Vertex>(rng.below(n));
+      const auto v = static_cast<Vertex>(rng.below(n));
+      if (u == v) continue;
+      demand.add_edge(u, v);
+      if (rng.below(8) == 0) demand.add_edge(v, u);  // repeated chord
+    }
+    ASSERT_TRUE(same(n, demand)) << "trial " << trial << " n " << n;
+  }
+  for (const std::uint32_t n : {3u, 4u, 5u, 63u, 64u, 65u, 128u, 200u}) {
+    if (n < lo || n > hi) continue;
+    EXPECT_TRUE(same(n, ccov::graph::Graph(n))) << n;
+    EXPECT_TRUE(same(n, ccov::graph::star_graph(n))) << n;
+    ccov::graph::Graph last(n);  // every chord ends at vertex n - 1
+    for (Vertex u = 0; u + 1 < n; u += 2) last.add_edge(u, n - 1);
+    EXPECT_TRUE(same(n, last)) << n;
+  }
+  for (const std::uint32_t n : {3u, 10u, 64u, 65u, 129u}) {
+    if (n < lo || n > hi) continue;
+    const auto complete = ccov::graph::complete_graph(n);
+    EXPECT_TRUE(same(n, complete)) << n;
+    EXPECT_EQ(to_string(greedy_cover_demand(n, complete)),
+              to_string(greedy_cover(n)))
+        << n;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, GreedyOracle, ::testing::Range(0, 8));
+
+TEST(GreedyDemand, ChordOnRingOfTwoThrows) {
+  // No C3/C4 exists on C_2, so its one chord can never be covered.
+  ccov::graph::Graph demand(2);
+  demand.add_edge(0, 1);
+  EXPECT_THROW(greedy_cover_demand(2, demand), std::invalid_argument);
+  EXPECT_THROW(greedy_cover(2), std::invalid_argument);
+  EXPECT_EQ(greedy_cover(1).size(), 0u);
 }
