@@ -66,7 +66,10 @@ std::optional<std::pair<std::uint64_t, RingCover>> solve_minimum(
 /// subtree below the winner was starved by the shared budget, the
 /// witness is still a valid cover but may differ from the serial one,
 /// and the result reports `exhausted == false` to flag the truncation.
-/// `threads == 0` selects hardware concurrency.
+/// `threads == 0` selects hardware concurrency, and larger counts are
+/// clamped to it: the workers run in a pool built for this call, and
+/// since nodes and witness do not depend on the count, more threads than
+/// cores would only cost spawns (a wire request may ask for 4,096).
 SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
                                         const SolverOptions& opts = {},
                                         std::size_t threads = 0);

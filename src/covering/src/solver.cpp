@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "ccov/covering/bounds.hpp"
@@ -356,7 +357,11 @@ SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
   };
   std::vector<WorkerResult> results(fanout);
 
-  util::ThreadPool pool(threads);
+  // More workers than hardware threads buy nothing (the result does not
+  // depend on the count), and every request builds its own pool.
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  util::ThreadPool pool(threads == 0 ? hw : std::min(threads, hw));
   util::parallel_for(pool, 0, fanout, [&](std::size_t i) {
     if (winner.load(std::memory_order_relaxed) < i) {
       results[i].cancelled = true;

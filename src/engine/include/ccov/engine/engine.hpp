@@ -41,8 +41,7 @@ struct EngineOptions {
 
 class Engine {
  public:
-  explicit Engine(EngineOptions opts = {},
-                  AlgorithmRegistry& registry = AlgorithmRegistry::global());
+  explicit Engine(EngineOptions opts = {});
 
   /// Execute one request. Never throws: algorithm failures, unknown
   /// names and invalid parameters come back as ok = false responses.
@@ -81,7 +80,9 @@ class Engine {
     return cache_.visit(ck, std::forward<Fn>(fn));
   }
 
-  const AlgorithmRegistry& registry() const { return registry_; }
+  const AlgorithmRegistry& registry() const {
+    return AlgorithmRegistry::global();
+  }
   CoverCache& cache() { return cache_; }
   const CoverCache& cache() const { return cache_; }
 
@@ -93,8 +94,8 @@ class Engine {
   const MetricsRegistry& metrics() const { return metrics_; }
 
  private:
-  /// True iff run() consults the cache for `req`: caching is on, the
-  /// algorithm is registered and cacheable, and cacheable_demand(req).
+  /// True iff run() consults the cache for `req`: the algorithm is in
+  /// the table and cacheable_demand(req).
   bool cacheable(const CoverRequest& req) const;
 
   /// Both run() overloads: `ck` is the caller's key, or null to compute
@@ -102,7 +103,6 @@ class Engine {
   CoverResponse run_keyed(const CoverRequest& req, const CanonicalKey* ck);
 
   EngineOptions opts_;
-  AlgorithmRegistry& registry_;
   CoverCache cache_;
   MetricsRegistry metrics_;
   Counter* solver_nodes_ = nullptr;  ///< cumulative search nodes

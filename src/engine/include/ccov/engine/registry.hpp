@@ -1,23 +1,17 @@
 #pragma once
 /// \file registry.hpp
-/// Name -> algorithm dispatch. Every cover-producing strategy registers
-/// itself here once and is then reachable from the CLI (`ccov run --algo
-/// NAME`), the sweep runner, the bench tables and the tests without any
-/// per-call-site dispatch code.
-///
-/// Registration is self-service: construct an AlgorithmRegistrar at
-/// namespace scope (see src/engine/README.md), or call
-/// AlgorithmRegistry::global().add(...) during startup. The built-in
-/// strategies are registered lazily the first time global() is used, so
-/// static-library dead-stripping can never lose them.
+/// Name -> algorithm dispatch. The strategies form a closed set, so they
+/// sit in one name-sorted constant table in registry.cpp and are then
+/// reachable from the CLI (`ccov run --algo NAME`), the sweep runner,
+/// the bench tables and the tests without any per-call-site dispatch
+/// code. A new strategy is a new table entry (see src/engine/README.md);
+/// nothing registers at run time, so a lookup takes no lock.
 
-#include <functional>
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ccov/engine/request.hpp"
-#include "ccov/util/thread_annotations.hpp"
 
 namespace ccov::engine {
 
@@ -32,62 +26,34 @@ struct AlgorithmOutcome {
   bool cancelled = false;  ///< the server's cancel token fired mid-search
 };
 
-/// A named cover-producing strategy.
+/// A named cover-producing strategy. Every one is a deterministic
+/// function of the canonical request, so the engine may serve it from
+/// the CoverCache.
 struct Algorithm {
-  std::string name;
-  std::string description;
-  /// Cacheable algorithms are deterministic functions of the canonical
-  /// request and may be served from the CoverCache.
-  bool cacheable = true;
+  std::string_view name;
+  std::string_view description;
   /// Produce a cover. May throw std::exception to signal an unsupported
   /// request (the engine converts it into an error response).
-  std::function<AlgorithmOutcome(const CoverRequest&)> run;
-  /// Optional custom validator (e.g. lambda*K_n demands). When absent the
+  AlgorithmOutcome (*run)(const CoverRequest&);
+  /// Optional custom validator (e.g. lambda*K_n demands). When null the
   /// engine validates against the request's demand (K_n by default).
-  std::function<bool(const CoverRequest&, const covering::RingCover&)>
-      validate;
+  bool (*validate)(const CoverRequest&, const covering::RingCover&);
 };
 
-/// Thread-safe name -> Algorithm map.
+/// Read-only view of the built-in table (construct, solve,
+/// solve-parallel, greedy, emz, c4, triple, lambda).
 class AlgorithmRegistry {
  public:
-  /// Register a strategy. Throws std::invalid_argument on an empty or
-  /// duplicate name, or a missing run function.
-  void add(Algorithm algo);
+  /// nullptr when the name is unknown. Entries live for the whole
+  /// program.
+  const Algorithm* find(std::string_view name) const;
 
-  /// nullptr when the name is unknown. The returned pointer stays valid
-  /// for the registry's lifetime (algorithms are never removed).
-  const Algorithm* find(const std::string& name) const;
-
-  bool contains(const std::string& name) const { return find(name); }
-
-  /// Registered names in sorted order.
+  /// Names in sorted order.
   std::vector<std::string> names() const;
 
   std::size_t size() const;
 
-  /// The process-wide registry with all built-in strategies registered
-  /// (construct, solve, solve-parallel, greedy, emz, c4, triple, lambda).
-  static AlgorithmRegistry& global();
-
- private:
-  mutable util::Mutex mu_;
-  std::map<std::string, Algorithm> algos_ CCOV_GUARDED_BY(mu_);
+  static const AlgorithmRegistry& global();
 };
-
-/// RAII helper for self-registration from any translation unit:
-///
-///   namespace {
-///   const ccov::engine::AlgorithmRegistrar kReg({
-///       "my-algo", "what it does", true,
-///       [](const CoverRequest& req) { ... }, nullptr});
-///   }
-struct AlgorithmRegistrar {
-  explicit AlgorithmRegistrar(Algorithm algo);
-};
-
-/// Register the built-in strategies into `reg`. Idempotent per registry;
-/// called automatically by AlgorithmRegistry::global().
-void register_builtin_algorithms(AlgorithmRegistry& reg);
 
 }  // namespace ccov::engine

@@ -29,7 +29,10 @@ struct CoverRequest {
   std::uint64_t budget = 0;
   /// Demand multiplicity for the lambda extension (lambda*K_n).
   std::uint32_t lambda = 1;
-  /// Worker count for parallel algorithms; 0 selects hardware concurrency.
+  /// Worker count for parallel algorithms; 0 selects hardware concurrency,
+  /// and larger counts are clamped to it (the answer does not depend on
+  /// the count, so a wire request cannot make a server spawn thousands
+  /// of threads per miss).
   std::size_t threads = 0;
   /// Branch-and-bound options, forwarded to solve/solve-parallel.
   covering::SolverOptions solver;

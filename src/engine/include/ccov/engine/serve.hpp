@@ -3,9 +3,9 @@
 /// The `ccov serve` protocol: JSONL requests in, JSONL responses out,
 /// one output line per input line, in input order. Compute requests are
 /// flat JSON objects ({"algo":"solve","n":8,...}); control verbs are
-/// {"op":"stats"|"save"|"clear"|"metrics"} and are dispatched through a
-/// ServeVerbRegistry (op string -> handler), the same self-registration
-/// shape as AlgorithmRegistry. See src/engine/README.md for the full
+/// {"op":"stats"|"save"|"clear"|"metrics"} and are dispatched through
+/// ServeVerbRegistry, a fixed name-sorted table (op string -> handler)
+/// like AlgorithmRegistry. See src/engine/README.md for the full
 /// protocol. The parser and renderers are exposed so tests can drive
 /// them without a process boundary.
 ///
@@ -21,15 +21,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ccov/engine/engine.hpp"
 #include "ccov/engine/request.hpp"
-#include "ccov/util/thread_annotations.hpp"
 
 namespace ccov::engine {
 
@@ -101,40 +99,26 @@ struct ServeVerbContext {
 /// A named control verb: {"op":"<name>"} -> one rendered response line
 /// (no trailing newline). Handlers must not throw.
 struct ServeVerb {
-  std::string name;
-  std::string description;
-  std::function<std::string(const ServeVerbContext&)> run;
+  std::string_view name;
+  std::string_view description;
+  std::string (*run)(const ServeVerbContext&);
 };
 
-/// Thread-safe name -> ServeVerb map, mirroring AlgorithmRegistry:
-/// register once (from any TU), dispatch everywhere. Verbs are never
-/// removed, so find() results stay valid for the registry's lifetime.
+/// Read-only view of the built-in verb table (clear, metrics, save,
+/// stats), the counterpart of AlgorithmRegistry.
 class ServeVerbRegistry {
  public:
-  /// Throws std::invalid_argument on an empty/duplicate name or a
-  /// missing run function.
-  void add(ServeVerb verb);
+  /// nullptr when the name is unknown. Entries live for the whole
+  /// program.
+  const ServeVerb* find(std::string_view name) const;
 
-  /// nullptr when the name is unknown.
-  const ServeVerb* find(const std::string& name) const;
-
-  /// Registered names in sorted order — also the list parse errors cite.
+  /// Names in sorted order — also the list parse errors cite.
   std::vector<std::string> names() const;
 
   std::size_t size() const;
 
-  /// The process-wide registry with the built-in verbs registered
-  /// (clear, metrics, save, stats).
-  static ServeVerbRegistry& global();
-
- private:
-  mutable util::Mutex mu_;
-  std::map<std::string, ServeVerb> verbs_ CCOV_GUARDED_BY(mu_);
+  static const ServeVerbRegistry& global();
 };
-
-/// Register the built-in control verbs into `reg`. Idempotent per
-/// registry; called automatically by ServeVerbRegistry::global().
-void register_builtin_verbs(ServeVerbRegistry& reg);
 
 /// One parsed input line: either a cover request (verb == nullptr) or a
 /// resolved control verb.
@@ -171,10 +155,9 @@ class LineReader {
   std::size_t len_ = 0;
 };
 
-/// Parse one JSONL line against the global verb registry. Returns false
-/// (and sets *error) on malformed JSON, unknown keys, out-of-domain
-/// values, or an unknown op (the error lists the valid ops); never
-/// throws.
+/// Parse one JSONL line against the verb table. Returns false (and sets
+/// *error) on malformed JSON, unknown keys, out-of-domain values, or an
+/// unknown op (the error lists the valid ops); never throws.
 bool parse_serve_line(const std::string& line, ServeCommand* cmd,
                       std::string* error);
 

@@ -8,10 +8,8 @@
 
 namespace ccov::engine {
 
-Engine::Engine(EngineOptions opts, AlgorithmRegistry& registry)
-    : opts_(opts),
-      registry_(registry),
-      cache_(opts.cache_capacity, opts.cache_shards) {
+Engine::Engine(EngineOptions opts)
+    : opts_(opts), cache_(opts.cache_capacity, opts.cache_shards) {
   // Cache series read the cache's own atomics at scrape time — one
   // source of truth, nothing counted twice. The cache outlives the
   // registry's callers because both are members of this engine.
@@ -75,9 +73,7 @@ util::ThreadPool& Engine::pool() {
 }
 
 bool Engine::cacheable(const CoverRequest& req) const {
-  if (!cacheable_demand(req)) return false;
-  const Algorithm* algo = registry_.find(req.algorithm);
-  return algo && algo->cacheable;
+  return cacheable_demand(req) && registry().find(req.algorithm);
 }
 
 CoverResponse Engine::run(const CoverRequest& req) {
@@ -94,7 +90,7 @@ CoverResponse Engine::run_keyed(const CoverRequest& req,
   resp.algorithm = req.algorithm;
   resp.n = req.n;
 
-  const Algorithm* algo = registry_.find(req.algorithm);
+  const Algorithm* algo = registry().find(req.algorithm);
   if (!algo) {
     resp.error = "unknown algorithm '" + req.algorithm + "'";
     return resp;
@@ -106,7 +102,7 @@ CoverResponse Engine::run_keyed(const CoverRequest& req,
 
   // A demand vertex >= n is not on C_n: keying it would alias it onto a
   // ring demand, so it skips the cache and the algorithm answers it.
-  const bool use_cache = cacheable(req);
+  const bool use_cache = cacheable_demand(req);
   CanonicalKey computed;
   if (use_cache) {
     if (!ck) ck = &(computed = canonical_request_key(req));
@@ -145,13 +141,11 @@ CoverResponse Engine::run_keyed(const CoverRequest& req,
     // cancellation is exempt — its whole point is to finish fast.
     if (opts_.fallback_greedy && out.timed_out && !out.cancelled &&
         !resp.found) {
-      if (const Algorithm* greedy = registry_.find("greedy")) {
-        AlgorithmOutcome fb = greedy->run(*eff);
-        resp.cover = std::move(fb.cover);
-        resp.found = fb.found;
-        resp.degraded = true;
-        degraded_->add(1);
-      }
+      AlgorithmOutcome fb = registry().find("greedy")->run(*eff);
+      resp.cover = std::move(fb.cover);
+      resp.found = fb.found;
+      resp.degraded = true;
+      degraded_->add(1);
     }
   } catch (const std::exception& e) {
     resp.error = e.what();

@@ -1,5 +1,8 @@
 #include "ccov/engine/registry.hpp"
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -13,53 +16,6 @@
 #include "ccov/extensions/lambda_cover.hpp"
 
 namespace ccov::engine {
-
-void AlgorithmRegistry::add(Algorithm algo) {
-  if (algo.name.empty())
-    throw std::invalid_argument("AlgorithmRegistry: empty algorithm name");
-  if (!algo.run)
-    throw std::invalid_argument("AlgorithmRegistry: algorithm '" + algo.name +
-                                "' has no run function");
-  util::MutexLock lk(mu_);
-  const std::string name = algo.name;
-  if (algos_.count(name))
-    throw std::invalid_argument("AlgorithmRegistry: duplicate algorithm '" +
-                                name + "'");
-  algos_.emplace(name, std::move(algo));
-}
-
-const Algorithm* AlgorithmRegistry::find(const std::string& name) const {
-  util::MutexLock lk(mu_);
-  const auto it = algos_.find(name);
-  return it == algos_.end() ? nullptr : &it->second;
-}
-
-std::vector<std::string> AlgorithmRegistry::names() const {
-  util::MutexLock lk(mu_);
-  std::vector<std::string> out;
-  out.reserve(algos_.size());
-  for (const auto& [name, _] : algos_) out.push_back(name);
-  return out;  // std::map iterates in sorted order
-}
-
-std::size_t AlgorithmRegistry::size() const {
-  util::MutexLock lk(mu_);
-  return algos_.size();
-}
-
-AlgorithmRegistry& AlgorithmRegistry::global() {
-  static AlgorithmRegistry reg;
-  // Magic-static init is thread-safe and runs exactly once; keeping the
-  // built-in registration here (instead of static registrar objects in
-  // this TU) means static-library dead-stripping can never lose it.
-  static const bool initialized = (register_builtin_algorithms(reg), true);
-  (void)initialized;
-  return reg;
-}
-
-AlgorithmRegistrar::AlgorithmRegistrar(Algorithm algo) {
-  AlgorithmRegistry::global().add(std::move(algo));
-}
 
 namespace {
 
@@ -96,98 +52,105 @@ AlgorithmOutcome outcome_from(covering::SolverResult res) {
   return out;
 }
 
+/// The built-in strategies, sorted by name (names() lists them in table
+/// order; the static_assert below keeps the order and uniqueness).
+constexpr Algorithm kAlgorithms[] = {
+    {"c4", "classical C4 covering of K_n, no routing constraint (ref [2])",
+     [](const CoverRequest& req) {
+       require_all_to_all(req, "c4");
+       return AlgorithmOutcome{
+           covering::RingCover{req.n, baselines::greedy_c4_cover(req.n)}};
+     },
+     nullptr},
+    {"construct",
+     "Theorems 1-2 covering of K_n; above rho(n) for even n >= 14",
+     [](const CoverRequest& req) {
+       require_all_to_all(req, "construct");
+       return AlgorithmOutcome{covering::build_optimal_cover(req.n)};
+     },
+     nullptr},
+    {"emz", "greedy cover minimizing the Eilam-Moran-Zaks size objective",
+     [](const CoverRequest& req) {
+       require_all_to_all(req, "emz");
+       return AlgorithmOutcome{baselines::emz_greedy_cover(req.n)};
+     },
+     nullptr},
+    {"greedy", "greedy DRC-covering baseline (accepts an explicit demand)",
+     [](const CoverRequest& req) {
+       if (req.lambda != 1)
+         throw std::invalid_argument("greedy: lambda != 1 is not supported");
+       if (req.demand.empty())
+         return AlgorithmOutcome{covering::greedy_cover(req.n)};
+       return AlgorithmOutcome{covering::greedy_cover_demand(
+           req.n, demand_graph(req.n, req.demand))};
+     },
+     nullptr},
+    {"lambda", "DRC-covering of lambda*K_n (--lambda copies of the optimum)",
+     [](const CoverRequest& req) {
+       if (!req.demand.empty())
+         throw std::invalid_argument(
+             "lambda: explicit demands are not supported");
+       return AlgorithmOutcome{
+           extensions::build_lambda_cover(req.n, req.lambda)};
+     },
+     [](const CoverRequest& req, const covering::RingCover& cover) {
+       return extensions::validate_lambda_cover(cover, req.lambda);
+     }},
+    {"solve",
+     "exact branch-and-bound search within --budget cycles "
+     "(default rho(n))",
+     [](const CoverRequest& req) {
+       require_all_to_all(req, "solve");
+       return outcome_from(covering::solve_with_budget(
+           req.n, effective_budget(req), runtime_solver_options(req)));
+     },
+     nullptr},
+    {"solve-parallel",
+     "exact search fanned across --threads (shared node budget, "
+     "witness identical to solve)",
+     [](const CoverRequest& req) {
+       require_all_to_all(req, "solve-parallel");
+       return outcome_from(covering::solve_with_budget_parallel(
+           req.n, effective_budget(req), runtime_solver_options(req),
+           req.threads));
+     },
+     nullptr},
+    {"triple",
+     "classical triangle covering C(n,3,2), no routing constraint "
+     "(refs [6,7])",
+     [](const CoverRequest& req) {
+       require_all_to_all(req, "triple");
+       return AlgorithmOutcome{covering::RingCover{
+           req.n, baselines::greedy_triple_cover(req.n)}};
+     },
+     nullptr},
+};
+
+static_assert(std::ranges::adjacent_find(kAlgorithms,
+                                         std::ranges::greater_equal{},
+                                         &Algorithm::name) ==
+                  std::ranges::end(kAlgorithms),
+              "kAlgorithms must be sorted by name without duplicates");
+
 }  // namespace
 
-void register_builtin_algorithms(AlgorithmRegistry& reg) {
-  if (reg.contains("construct")) return;  // idempotent
+const Algorithm* AlgorithmRegistry::find(std::string_view name) const {
+  for (const Algorithm& algo : kAlgorithms)
+    if (algo.name == name) return &algo;
+  return nullptr;
+}
 
-  reg.add({"construct",
-           "Theorems 1-2 covering of K_n; above rho(n) for even n >= 14", true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "construct");
-             return AlgorithmOutcome{covering::build_optimal_cover(req.n)};
-           },
-           nullptr});
+std::vector<std::string> AlgorithmRegistry::names() const {
+  std::vector<std::string> out;
+  for (const Algorithm& algo : kAlgorithms) out.emplace_back(algo.name);
+  return out;
+}
 
-  reg.add({"solve",
-           "exact branch-and-bound search within --budget cycles "
-           "(default rho(n))",
-           true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "solve");
-             return outcome_from(covering::solve_with_budget(
-                 req.n, effective_budget(req), runtime_solver_options(req)));
-           },
-           nullptr});
+std::size_t AlgorithmRegistry::size() const { return std::size(kAlgorithms); }
 
-  reg.add({"solve-parallel",
-           "exact search fanned across --threads (shared node budget, "
-           "witness identical to solve)",
-           true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "solve-parallel");
-             return outcome_from(covering::solve_with_budget_parallel(
-                 req.n, effective_budget(req), runtime_solver_options(req),
-                 req.threads));
-           },
-           nullptr});
-
-  reg.add({"greedy",
-           "greedy DRC-covering baseline (accepts an explicit demand)", true,
-           [](const CoverRequest& req) {
-             if (req.lambda != 1)
-               throw std::invalid_argument(
-                   "greedy: lambda != 1 is not supported");
-             if (req.demand.empty())
-               return AlgorithmOutcome{covering::greedy_cover(req.n)};
-             return AlgorithmOutcome{covering::greedy_cover_demand(
-                 req.n, demand_graph(req.n, req.demand))};
-           },
-           nullptr});
-
-  reg.add({"emz",
-           "greedy cover minimizing the Eilam-Moran-Zaks size objective",
-           true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "emz");
-             return AlgorithmOutcome{baselines::emz_greedy_cover(req.n)};
-           },
-           nullptr});
-
-  reg.add({"c4",
-           "classical C4 covering of K_n, no routing constraint (ref [2])",
-           true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "c4");
-             return AlgorithmOutcome{covering::RingCover{
-                 req.n, baselines::greedy_c4_cover(req.n)}};
-           },
-           nullptr});
-
-  reg.add({"triple",
-           "classical triangle covering C(n,3,2), no routing constraint "
-           "(refs [6,7])",
-           true,
-           [](const CoverRequest& req) {
-             require_all_to_all(req, "triple");
-             return AlgorithmOutcome{covering::RingCover{
-                 req.n, baselines::greedy_triple_cover(req.n)}};
-           },
-           nullptr});
-
-  reg.add({"lambda",
-           "DRC-covering of lambda*K_n (--lambda copies of the optimum)",
-           true,
-           [](const CoverRequest& req) {
-             if (!req.demand.empty())
-               throw std::invalid_argument(
-                   "lambda: explicit demands are not supported");
-             return AlgorithmOutcome{
-                 extensions::build_lambda_cover(req.n, req.lambda)};
-           },
-           [](const CoverRequest& req, const covering::RingCover& cover) {
-             return extensions::validate_lambda_cover(cover, req.lambda);
-           }});
+const AlgorithmRegistry& AlgorithmRegistry::global() {
+  static const AlgorithmRegistry reg;
+  return reg;
 }
 
 }  // namespace ccov::engine

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <istream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <ostream>
@@ -128,113 +130,99 @@ bool extract_request(const json::Value& obj, CoverRequest* req,
   return true;
 }
 
+// ---------------------------------------------------------------------------
+// Control-verb table
+// ---------------------------------------------------------------------------
+
+/// The built-in verbs, sorted by name (the unknown-verb error lists them
+/// in table order).
+constexpr ServeVerb kVerbs[] = {
+    {"clear", "empty the store",
+     [](const ServeVerbContext& ctx) {
+       ctx.engine.cache().clear();
+       json::JsonWriter w;
+       w.begin_object()
+           .key("id").value(ctx.id)
+           .key("op").value_string("clear")
+           .key("ok").value(true)
+           .end_object();
+       return w.take();
+     }},
+    {"metrics", "report every engine metric (cache, serve, solver)",
+     [](const ServeVerbContext& ctx) {
+       json::JsonWriter w;
+       w.begin_object()
+           .key("id").value(ctx.id)
+           .key("op").value_string("metrics")
+           .key("ok").value(true)
+           .key("metrics").begin_object();
+       for (const auto& [name, value] : ctx.engine.metrics().snapshot())
+         w.key(name).value(value);
+       w.end_object().end_object();
+       return w.take();
+     }},
+    {"save", "snapshot the store to the configured --cache-file",
+     [](const ServeVerbContext& ctx) -> std::string {
+       if (ctx.config.cache_file.empty())
+         return serve_error_line(ctx.id, "save: no --cache-file configured");
+       try {
+         save_snapshot_file(ctx.config.cache_file, ctx.engine.cache());
+         json::JsonWriter w;
+         w.begin_object()
+             .key("id").value(ctx.id)
+             .key("op").value_string("save")
+             .key("ok").value(true)
+             .key("entries")
+             .value(static_cast<std::uint64_t>(ctx.engine.cache().size()))
+             .key("file").value_string(ctx.config.cache_file)
+             .end_object();
+         return w.take();
+       } catch (const std::exception& e) {
+         // Disk failures (ENOSPC, EIO, a failed rename) come back as a
+         // structured save verdict, not a bare error line: the client
+         // learns both that its snapshot did NOT land and which file was
+         // involved.
+         json::JsonWriter w;
+         w.begin_object()
+             .key("id").value(ctx.id)
+             .key("op").value_string("save")
+             .key("ok").value(false)
+             .key("error").value_string(e.what())
+             .key("file").value_string(ctx.config.cache_file)
+             .end_object();
+         return w.take();
+       }
+     }},
+    {"stats", "report cache size/capacity/shards and hit counters",
+     [](const ServeVerbContext& ctx) {
+       return serve_stats_line(ctx.id, ctx.engine.cache());
+     }},
+};
+
+static_assert(std::ranges::adjacent_find(kVerbs, std::ranges::greater_equal{},
+                                         &ServeVerb::name) ==
+                  std::ranges::end(kVerbs),
+              "kVerbs must be sorted by name without duplicates");
+
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Control-verb registry
-// ---------------------------------------------------------------------------
-
-void ServeVerbRegistry::add(ServeVerb verb) {
-  if (verb.name.empty())
-    throw std::invalid_argument("serve verb name must not be empty");
-  if (!verb.run)
-    throw std::invalid_argument("serve verb '" + verb.name +
-                                "' has no run function");
-  util::MutexLock lk(mu_);
-  if (!verbs_.emplace(verb.name, std::move(verb)).second)
-    throw std::invalid_argument("duplicate serve verb '" + verb.name + "'");
-}
-
-const ServeVerb* ServeVerbRegistry::find(const std::string& name) const {
-  util::MutexLock lk(mu_);
-  const auto it = verbs_.find(name);
-  return it == verbs_.end() ? nullptr : &it->second;
+const ServeVerb* ServeVerbRegistry::find(std::string_view name) const {
+  for (const ServeVerb& verb : kVerbs)
+    if (verb.name == name) return &verb;
+  return nullptr;
 }
 
 std::vector<std::string> ServeVerbRegistry::names() const {
-  util::MutexLock lk(mu_);
   std::vector<std::string> out;
-  out.reserve(verbs_.size());
-  for (const auto& [name, verb] : verbs_) out.push_back(name);
+  for (const ServeVerb& verb : kVerbs) out.emplace_back(verb.name);
   return out;
 }
 
-std::size_t ServeVerbRegistry::size() const {
-  util::MutexLock lk(mu_);
-  return verbs_.size();
-}
+std::size_t ServeVerbRegistry::size() const { return std::size(kVerbs); }
 
-ServeVerbRegistry& ServeVerbRegistry::global() {
-  static ServeVerbRegistry* reg = [] {
-    auto* r = new ServeVerbRegistry();
-    register_builtin_verbs(*r);
-    return r;
-  }();
-  return *reg;
-}
-
-void register_builtin_verbs(ServeVerbRegistry& reg) {
-  reg.add({"stats", "report cache size/capacity/shards and hit counters",
-           [](const ServeVerbContext& ctx) {
-             return serve_stats_line(ctx.id, ctx.engine.cache());
-           }});
-  reg.add({"save", "snapshot the store to the configured --cache-file",
-           [](const ServeVerbContext& ctx) -> std::string {
-             if (ctx.config.cache_file.empty())
-               return serve_error_line(ctx.id,
-                                       "save: no --cache-file configured");
-             try {
-               save_snapshot_file(ctx.config.cache_file, ctx.engine.cache());
-               json::JsonWriter w;
-               w.begin_object()
-                   .key("id").value(ctx.id)
-                   .key("op").value_string("save")
-                   .key("ok").value(true)
-                   .key("entries")
-                   .value(static_cast<std::uint64_t>(ctx.engine.cache().size()))
-                   .key("file").value_string(ctx.config.cache_file)
-                   .end_object();
-               return w.take();
-             } catch (const std::exception& e) {
-               // Disk failures (ENOSPC, EIO, a failed rename) come back
-               // as a structured save verdict, not a bare error line:
-               // the client learns both that its snapshot did NOT land
-               // and which file was involved.
-               json::JsonWriter w;
-               w.begin_object()
-                   .key("id").value(ctx.id)
-                   .key("op").value_string("save")
-                   .key("ok").value(false)
-                   .key("error").value_string(e.what())
-                   .key("file").value_string(ctx.config.cache_file)
-                   .end_object();
-               return w.take();
-             }
-           }});
-  reg.add({"clear", "empty the store",
-           [](const ServeVerbContext& ctx) {
-             ctx.engine.cache().clear();
-             json::JsonWriter w;
-             w.begin_object()
-                 .key("id").value(ctx.id)
-                 .key("op").value_string("clear")
-                 .key("ok").value(true)
-                 .end_object();
-             return w.take();
-           }});
-  reg.add({"metrics", "report every engine metric (cache, serve, solver)",
-           [](const ServeVerbContext& ctx) {
-             json::JsonWriter w;
-             w.begin_object()
-                 .key("id").value(ctx.id)
-                 .key("op").value_string("metrics")
-                 .key("ok").value(true)
-                 .key("metrics").begin_object();
-             for (const auto& [name, value] : ctx.engine.metrics().snapshot())
-               w.key(name).value(value);
-             w.end_object().end_object();
-             return w.take();
-           }});
+const ServeVerbRegistry& ServeVerbRegistry::global() {
+  static const ServeVerbRegistry reg;
+  return reg;
 }
 
 // ---------------------------------------------------------------------------

@@ -59,7 +59,10 @@ class TaskGroup {
 
 class ThreadPool {
  public:
-  /// \p threads == 0 selects hardware_concurrency (at least 1).
+  /// \p threads == 0 selects hardware_concurrency (at least 1). When a
+  /// worker cannot start (the process is out of threads), the workers
+  /// already started are stopped and joined and the std::system_error is
+  /// rethrown, so a failed pool never takes the process down.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -93,6 +96,7 @@ class ThreadPool {
   void enqueue(std::shared_ptr<TaskGroup::State> group,
                std::function<void()> task);
   void worker_loop();
+  void stop_and_join();
 
   std::vector<std::thread> workers_;
   Mutex mu_;

@@ -1,7 +1,10 @@
 #include "ccov/util/thread_pool.hpp"
 
 #include <algorithm>
+#include <system_error>
 #include <utility>
+
+#include "ccov/util/failpoint.hpp"
 
 namespace ccov::util {
 
@@ -26,11 +29,27 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0)
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      // Seam: the last spawn fails after the others started, as when the
+      // process reaches its thread limit part way through.
+      if (i + 1 == threads && CCOV_FAILPOINT("thread_spawn"))
+        throw std::system_error(
+            std::make_error_code(std::errc::resource_unavailable_try_again),
+            "thread_spawn");
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A joinable std::thread destroyed with workers_ would terminate the
+    // process: stop and join the workers that did start, then report.
+    stop_and_join();
+    throw;
+  }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     MutexLock lk(mu_);
     stop_ = true;

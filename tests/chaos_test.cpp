@@ -32,6 +32,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -44,6 +45,7 @@
 #include "ccov/engine/shm.hpp"
 #include "ccov/engine/store.hpp"
 #include "ccov/util/failpoint.hpp"
+#include "ccov/util/thread_pool.hpp"
 #include "ccov/util/timer.hpp"
 
 namespace cov = ccov::covering;
@@ -775,4 +777,41 @@ TEST(Chaos, SaveVerbReportsInjectedDiskFailuresInBand) {
     EXPECT_GE(eng::load_snapshot_file(path, check), 1u) << point;
   }
   std::filesystem::remove(path);
+}
+
+TEST(Chaos, ThreadSpawnFailureJoinsTheStartedWorkers) {
+  if (!fp::compiled())
+    GTEST_SKIP() << "binary built without CCOV_FAILPOINTS=ON";
+  ClearAllGuard guard;
+  // The seam fails the last spawn, so three workers are already running
+  // when the constructor throws; leaving them joinable in workers_
+  // would std::terminate the process.
+  ASSERT_TRUE(fp::set("thread_spawn", "error*1"));
+  EXPECT_THROW(ccov::util::ThreadPool pool(4), std::system_error);
+  EXPECT_EQ(fp::hits("thread_spawn"), 1u);
+  ccov::util::ThreadPool pool(4);  // exhausted: the next pool starts
+  EXPECT_EQ(pool.size(), 4u);
+}
+
+TEST(Chaos, SolveParallelAnswersInBandWhenASpawnFails) {
+  if (!fp::compiled())
+    GTEST_SKIP() << "binary built without CCOV_FAILPOINTS=ON";
+  ClearAllGuard guard;
+  ASSERT_TRUE(fp::set("thread_spawn", "error*1"));
+  eng::Engine engine;
+  std::istringstream in(
+      "{\"algo\":\"solve-parallel\",\"n\":8,\"threads\":2}\n"
+      "{\"algo\":\"solve-parallel\",\"n\":8,\"threads\":2}\n");
+  std::ostringstream out;
+  ASSERT_EQ(eng::serve_loop(in, out, engine, {}), 0);
+  std::istringstream lines(out.str());
+  std::string failed, answered;
+  ASSERT_TRUE(std::getline(lines, failed));
+  ASSERT_TRUE(std::getline(lines, answered));
+  // The failed pool is an error answer for its own request only: the
+  // session lives on and answers the next one (failpoint exhausted).
+  EXPECT_EQ(failed.rfind("{\"id\":0,\"ok\":false,", 0), 0u) << failed;
+  EXPECT_NE(failed.find("thread_spawn"), std::string::npos) << failed;
+  EXPECT_EQ(answered.rfind("{\"id\":1,\"ok\":true,", 0), 0u) << answered;
+  EXPECT_NE(answered.find("\"found\":true"), std::string::npos) << answered;
 }

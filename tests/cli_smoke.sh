@@ -84,6 +84,25 @@ for name in construct solve greedy lambda; do
   echo "${ALGOS}" | has "${name}" || fail "algos output missing '${name}'"
 done
 
+echo "== ccov algos prints the algorithm table byte for byte"
+ALGOS_GOLDEN="${TMPDIR_SMOKE}/algos.golden"
+cat > "${ALGOS_GOLDEN}" <<'GOLDEN'
+== registered algorithms ==
+| name           | description                                                                           |
+|----------------|---------------------------------------------------------------------------------------|
+| c4             | classical C4 covering of K_n, no routing constraint (ref [2])                         |
+| construct      | Theorems 1-2 covering of K_n; above rho(n) for even n >= 14                           |
+| emz            | greedy cover minimizing the Eilam-Moran-Zaks size objective                           |
+| greedy         | greedy DRC-covering baseline (accepts an explicit demand)                             |
+| lambda         | DRC-covering of lambda*K_n (--lambda copies of the optimum)                           |
+| solve          | exact branch-and-bound search within --budget cycles (default rho(n))                 |
+| solve-parallel | exact search fanned across --threads (shared node budget, witness identical to solve) |
+| triple         | classical triangle covering C(n,3,2), no routing constraint (refs [6,7])              |
+GOLDEN
+"${CCOV}" algos > "${TMPDIR_SMOKE}/algos.out"
+cmp -s "${ALGOS_GOLDEN}" "${TMPDIR_SMOKE}/algos.out" \
+  || fail "algos output differs from the golden table: $(diff "${ALGOS_GOLDEN}" "${TMPDIR_SMOKE}/algos.out")"
+
 echo "== ccov run --algo construct --n 9"
 "${CCOV}" run --algo construct --n 9 | has "valid=yes" \
   || fail "run construct n=9 should produce a valid cover"

@@ -74,20 +74,27 @@ TEST(Registry, UnknownNameIsNull) {
   EXPECT_EQ(eng::AlgorithmRegistry::global().find("frobnicate"), nullptr);
 }
 
-TEST(Registry, RejectsDuplicateAndAnonymous) {
-  eng::AlgorithmRegistry reg;
-  eng::Algorithm a{"x", "test", true,
-                   [](const eng::CoverRequest&) {
-                     return eng::AlgorithmOutcome{};
-                   },
-                   nullptr};
-  reg.add(a);
-  EXPECT_THROW(reg.add(a), std::invalid_argument);
-  a.name.clear();
-  EXPECT_THROW(reg.add(a), std::invalid_argument);
-  a.name = "y";
-  a.run = nullptr;
-  EXPECT_THROW(reg.add(a), std::invalid_argument);
+TEST(Registry, TableIsSortedUniqueAndRunnable) {
+  // The table is fixed at compile time, so these are the checks a
+  // runtime add() used to make: strictly sorted names (no duplicates),
+  // every entry reachable by its own name, every entry with a run.
+  const auto& reg = eng::AlgorithmRegistry::global();
+  const std::vector<std::string> names = reg.names();
+  EXPECT_EQ(names, (std::vector<std::string>{"c4", "construct", "emz",
+                                             "greedy", "lambda", "solve",
+                                             "solve-parallel", "triple"}));
+  EXPECT_EQ(reg.size(), names.size());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end(),
+                               std::greater_equal<>()),
+            names.end());
+  for (const std::string& name : names) {
+    const eng::Algorithm* algo = reg.find(name);
+    ASSERT_NE(algo, nullptr) << name;
+    EXPECT_EQ(algo->name, name);
+    EXPECT_NE(algo->run, nullptr) << name;
+  }
+  EXPECT_EQ(reg.find(""), nullptr);
+  EXPECT_EQ(reg.find("solve-"), nullptr);
 }
 
 TEST(Registry, EveryBuiltinProducesACoverFor9) {
@@ -1007,21 +1014,37 @@ TEST(Serve, RegistryListsBuiltinVerbsSorted) {
   EXPECT_EQ(reg.find("no-such-verb"), nullptr);
 }
 
-TEST(Serve, RegistryRejectsDuplicatesAndMalformedVerbs) {
-  eng::ServeVerbRegistry reg;
-  reg.add({"ping", "test verb",
-           [](const eng::ServeVerbContext&) { return std::string("{}"); }});
-  EXPECT_EQ(reg.size(), 1u);
-  EXPECT_THROW(
-      reg.add({"ping", "again",
-               [](const eng::ServeVerbContext&) { return std::string(); }}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      reg.add({"", "empty name",
-               [](const eng::ServeVerbContext&) { return std::string(); }}),
-      std::invalid_argument);
-  EXPECT_THROW(reg.add({"norun", "missing handler", nullptr}),
-               std::invalid_argument);
+TEST(Serve, VerbTableIsSortedUniqueAndRunnable) {
+  const auto& reg = eng::ServeVerbRegistry::global();
+  const std::vector<std::string> names = reg.names();
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"clear", "metrics", "save", "stats"}));
+  EXPECT_EQ(reg.size(), names.size());
+  EXPECT_EQ(std::adjacent_find(names.begin(), names.end(),
+                               std::greater_equal<>()),
+            names.end());
+  for (const std::string& name : names) {
+    const eng::ServeVerb* verb = reg.find(name);
+    ASSERT_NE(verb, nullptr) << name;
+    EXPECT_EQ(verb->name, name);
+    EXPECT_NE(verb->run, nullptr) << name;
+  }
+}
+
+TEST(Serve, UnknownVerbErrorIsPinned) {
+  eng::ServeCommand cmd;
+  std::string error;
+  EXPECT_FALSE(eng::parse_serve_line(R"({"op":"frobnicate"})", &cmd, &error));
+  EXPECT_EQ("parse: " + error,
+            "parse: unknown control verb 'frobnicate' (valid: clear, "
+            "metrics, save, stats)");
+  eng::Engine engine;
+  std::istringstream in("{\"op\":\"frobnicate\"}\n");
+  std::ostringstream out;
+  ASSERT_EQ(eng::serve_loop(in, out, engine, {}), 0);
+  EXPECT_EQ(out.str(),
+            "{\"id\":0,\"ok\":false,\"error\":\"parse: unknown control verb "
+            "'frobnicate' (valid: clear, metrics, save, stats)\"}\n");
 }
 
 TEST(Serve, RejectsMalformedLines) {
@@ -1070,6 +1093,21 @@ std::string run_serve(const std::string& input, std::size_t jobs,
 }
 
 }  // namespace
+
+TEST(Engine, ThreadsAboveTheHardwareCountAnswerLikeThreadsZero) {
+  // solve-parallel clamps its pool to the hardware thread count, and its
+  // nodes and witness do not depend on the count, so asking for four
+  // times the cores answers the same bytes as asking for all of them.
+  const std::size_t hw =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t many = std::min<std::size_t>(4 * hw, 4096);
+  const std::string line = R"({"algo":"solve-parallel","n":8,"threads":)";
+  const std::string all = run_serve(line + "0}\n", 1, 1);
+  const std::string over =
+      run_serve(line + std::to_string(many) + "}\n", 1, 1);
+  EXPECT_NE(all.find("\"ok\":true"), std::string::npos) << all;
+  EXPECT_EQ(over, all);
+}
 
 TEST(Engine, OutOfRangeDemandIsAnsweredTheSameColdAndWarm) {
   // A demand vertex >= n is not on C_30. Reducing it mod n to build a

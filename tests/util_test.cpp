@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "ccov/util/cli.hpp"
-#include "ccov/util/csv.hpp"
 #include "ccov/util/ints.hpp"
 #include "ccov/util/pipeline.hpp"
 #include "ccov/util/prng.hpp"
@@ -123,20 +122,6 @@ TEST(Table, EmptyJsonIsAnEmptyArray) {
   std::ostringstream os;
   t.write_json(os);
   EXPECT_EQ(os.str(), "[\n]\n");
-}
-
-TEST(Csv, WritesEscapedCells) {
-  const std::string path = testing::TempDir() + "ccov_csv_test.csv";
-  {
-    cu::CsvWriter w(path, {"a", "b"});
-    w.write("x,y", 3);
-  }
-  std::ifstream in(path);
-  std::string line1, line2;
-  std::getline(in, line1);
-  std::getline(in, line2);
-  EXPECT_EQ(line1, "a,b");
-  EXPECT_EQ(line2, "\"x,y\",3");
 }
 
 TEST(Cli, ParsesEqualsForm) {

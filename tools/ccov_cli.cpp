@@ -677,7 +677,7 @@ int cmd_algos() {
   const auto& reg = ccov::engine::AlgorithmRegistry::global();
   ccov::util::Table t({"name", "description"});
   for (const auto& name : reg.names())
-    t.add(name, reg.find(name)->description);
+    t.add(name, std::string(reg.find(name)->description));
   t.print(std::cout, "registered algorithms");
   return 0;
 }
