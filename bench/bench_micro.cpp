@@ -173,6 +173,26 @@ static void BM_SolveBudgetParallel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(nodes));
 }
 
+// Node-capped searches as the serve `batch` workload sends them: even n
+// at budget rho(n), where the search stops at its cap, so the node count
+// is fixed and only nodes/s (items/s) can move.
+static void BM_SolveCapped(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  covering::SolverOptions opts;
+  opts.max_nodes = static_cast<std::uint64_t>(state.range(1));
+  std::uint64_t nodes = 0;
+  for (auto _ : state) {
+    const auto res = covering::solve_with_budget(n, covering::rho(n), opts);
+    benchmark::DoNotOptimize(res);
+    nodes += res.nodes;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(nodes));
+}
+BENCHMARK(BM_SolveCapped)
+    ->Unit(benchmark::kMicrosecond)
+    ->Args({20, 40000})
+    ->Args({40, 20000});
+
 static void register_solver_benchmarks(bool quick) {
   auto* solve_min =
       benchmark::RegisterBenchmark("BM_SolveMinimum", BM_SolveMinimum)

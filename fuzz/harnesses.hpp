@@ -49,3 +49,8 @@ int ccov_fuzz_validate_cover(const std::uint8_t* data, std::size_t size);
 /// ChordBitset greedy in tests/reference_greedy.hpp; aborts on any cover
 /// or exception mismatch.
 int ccov_fuzz_greedy_cover(const std::uint8_t* data, std::size_t size);
+
+/// covering/solver.hpp solve_with_budget — differential against the
+/// search in tests/reference_solver.hpp, which visits every child the
+/// library decides in its parent; aborts on any result mismatch.
+int ccov_fuzz_solver(const std::uint8_t* data, std::size_t size);

@@ -37,7 +37,12 @@ struct SolverResult {
                                ///< infeasibility when !found)
   bool timed_out = false;      ///< the deadline expired mid-search
   bool cancelled = false;      ///< the cancel token fired mid-search
-  std::uint64_t nodes = 0;     ///< branch nodes visited
+  /// Branch nodes visited. A child that the capacity prune or the last
+  /// cycle of the budget rejects at once is decided in its parent,
+  /// without being applied, but it still counts as one node here and
+  /// against `max_nodes`, and takes part in the deadline, cancel and
+  /// parallel-winner polls, so counts match a search that visits it.
+  std::uint64_t nodes = 0;
   RingCover cover;             ///< witness when found
 };
 
@@ -77,10 +82,12 @@ SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
 namespace detail {
 
 /// Testing hook: the exact candidate branching list the search uses for
-/// chord (a, b) of K_n in the initial (all-uncovered) state — duplicate
-/// free, every cycle containing (a, b) as an edge, ordered by freshness
-/// (stable on the lexicographic generation order). Allocates; the real
-/// search writes the same sequence into a preallocated arena.
+/// chord (a, b), a < b < n, of K_n in the initial (all-uncovered) state —
+/// duplicate free, every cycle containing (a, b) as an edge, ordered by
+/// freshness (stable on the lexicographic generation order). It comes
+/// from the generator the search itself runs; the search keeps the same
+/// sequence in per-depth freshness buckets, minus the children it
+/// decides without visiting, and the parallel search fans out over it.
 std::vector<Cycle> candidate_cycles(std::uint32_t n, Vertex a, Vertex b,
                                     const SolverOptions& opts = {});
 

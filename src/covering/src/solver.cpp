@@ -53,6 +53,8 @@ constexpr std::uint64_t kCancelCheckMask = 1023;  // check every 1024 nodes
 /// nodes a non-interrupted search visits — the golden node counts stay
 /// byte-identical.
 constexpr std::uint64_t kInterruptCheckMask = 4095;
+static_assert((kInterruptCheckMask & kCancelCheckMask) == kCancelCheckMask,
+              "every interrupt poll must also be a winner poll");
 constexpr std::size_t kNoWinner = std::numeric_limits<std::size_t>::max();
 
 struct Search {
@@ -83,40 +85,52 @@ struct Search {
   const std::atomic<std::size_t>* winner = nullptr;
   std::size_t root_index = 0;
 
-  // Per-depth scratch. Candidates are generated into gen[] in
-  // lexicographic order, then stable-bucketed by freshness into
-  // ordered[]. prepare() sizes the arena for the whole search up front,
-  // so the steady-state DFS performs no allocation and references into
-  // the arena are never invalidated by deeper levels.
+  // Per-depth candidate buckets, one per freshness. The branching chord
+  // is uncovered and lies on every candidate, so freshness is in [1, 4]
+  // and bucket f - 1 holds freshness f, in lexicographic generation
+  // order. A bucket keeps only the candidates whose child can branch or
+  // finish; the dead leaves (see leaf_threshold) between them stay counts.
+  // prepare() sizes the outer arena for the whole search, so references
+  // into it survive deeper levels; each bucket grows on demand.
+  struct Kept {
+    SmallCycle c;
+    std::uint32_t dead_before;  // dead siblings just before c in its bucket
+  };
+  struct Bucket {
+    std::vector<Kept> kept;
+    std::uint32_t dead_after = 0;  // dead siblings after the last kept one
+  };
   struct DepthScratch {
-    std::vector<SmallCycle> gen;
-    std::vector<std::uint8_t> fresh;
-    std::vector<SmallCycle> ordered;
+    Bucket by_fresh[4];
   };
   std::vector<DepthScratch> arena;
+
+  // A candidate's score packs its fresh chords' summed ring distance L
+  // above a 3-bit freshness count: (L << kFreshBits) | freshness. Sums of
+  // up to four chord scores never carry out of the count.
+  static constexpr std::uint32_t kFreshBits = 3;
+  static constexpr std::uint32_t kFreshMask = (1u << kFreshBits) - 1;
+  // Score of chord (v, w) for each end v of the branching chord, by w;
+  // refilled per node.
+  std::vector<std::uint32_t> end_a, end_b;
 
   explicit Search(std::uint32_t nn, const SolverOptions& o)
       : n(nn),
         r(nn),
         opts(o),
         covered(static_cast<std::size_t>(nn) * nn, 0),
-        uncovered(nn) {
+        uncovered(nn),
+        end_a(nn),
+        end_b(nn) {
     uncovered.set_all_chords();
     for (Vertex a = 0; a < n; ++a)
       for (Vertex b = a + 1; b < n; ++b) remaining_load += r.dist(a, b);
   }
 
-  /// Largest possible candidate list: n-2 triangles plus quads whose two
-  /// extra vertices share one of the two open arcs.
-  std::size_t max_candidates() const {
-    const std::size_t m = n - 2;
-    return m + m * (m - 1) / 2;
-  }
-
-  /// Preallocate every per-depth scratch buffer and the chosen stack for
-  /// a search of at most `budget` cycles. Each chosen cycle covers at
-  /// least one new chord (every candidate contains the branching chord),
-  /// so the DFS depth is also bounded by the chord count.
+  /// Size the chosen stack and the per-depth arena for a search of at
+  /// most `budget` cycles. Each chosen cycle covers at least one new chord
+  /// (every candidate contains the branching chord), so the DFS depth is
+  /// also bounded by the chord count.
   void prepare(std::uint64_t budget) {
     const std::uint64_t chords =
         static_cast<std::uint64_t>(n) * (n - 1) / 2;
@@ -124,14 +138,6 @@ struct Search {
         static_cast<std::size_t>(budget < chords ? budget : chords);
     chosen.reserve(depth_cap);
     arena.resize(depth_cap);
-    const std::size_t cap = max_candidates();
-    for (DepthScratch& s : arena) {
-      if (s.gen.capacity() == 0) {
-        s.gen.reserve(cap);
-        s.fresh.reserve(cap);
-        s.ordered.reserve(cap);
-      }
-    }
   }
 
   void apply(const SmallCycle& c, int delta) {
@@ -153,67 +159,97 @@ struct Search {
     });
   }
 
-  int fresh(const SmallCycle& c) const {
-    int f = 0;
-    for_each_chord(c, [&](Vertex a, Vertex b) { f += uncovered.test(a, b); });
-    return f;
+  /// Score of chord (u, v), u < v: zero when covered.
+  std::uint32_t chord_score(Vertex u, Vertex v) const {
+    return uncovered.test(u, v) ? (r.dist(u, v) << kFreshBits) | 1u : 0u;
   }
 
-  /// Candidate circularly ordered cycles (sizes 3..4, capped by
-  /// max_cycle_len) containing chord (a, b) as an edge, written into the
-  /// scratch in lexicographically sorted vertex order. A circular cycle
-  /// is determined by its vertex set; (a, b) is an edge iff one open arc
-  /// between them holds no other chosen vertex, so the extra vertices
-  /// all come from one side: the interior (a, b) or the exterior
-  /// [0, a) ∪ (b, n). Each candidate is emitted exactly once — no
-  /// dedup pass — and a < b always holds for the branching chord.
-  void generate(Vertex a, Vertex b, DepthScratch& s) const {
+  /// Every candidate circularly ordered cycle (sizes 3..4, capped by
+  /// max_cycle_len) containing chord (a, b), a < b, as an edge, passed
+  /// to emit(cycle, score) in lexicographically sorted vertex order. A
+  /// circular cycle is determined by its vertex set; (a, b) is an edge
+  /// iff one open arc between them holds no other chosen vertex, so the
+  /// extra vertices all come from one side: the interior (a, b) or the
+  /// exterior [0, a) ∪ (b, n). Each candidate is emitted exactly once.
+  /// Its chords are (a, b), one from a, one from b and, for a quad, the
+  /// chord (w, z) between the two extras, so a triangle scores from two
+  /// array reads and a quad adds one bit probe.
+  template <typename Emit>
+  void for_each_candidate(Vertex a, Vertex b, Emit&& emit) {
+    for (Vertex w = 0; w < n; ++w) {
+      end_a[w] = w == a ? 0 : chord_score(std::min(a, w), std::max(a, w));
+      end_b[w] = w == b ? 0 : chord_score(std::min(b, w), std::max(b, w));
+    }
+    const std::uint32_t ab = chord_score(a, b);
     const bool quads = opts.max_cycle_len >= 4;
-    s.gen.clear();
+    // A quad whose a-neighbour is x and b-neighbour is y, extras w < z.
+    const auto quad = [&](Vertex x, Vertex y, Vertex w, Vertex z) {
+      return ab + end_a[x] + end_b[y] + chord_score(w, z);
+    };
     // Sorted sequences leading with w < a: both extras below a, then the
     // triangle, then the second extra beyond b.
     for (Vertex w = 0; w < a; ++w) {
       if (quads)
-        for (Vertex z = w + 1; z < a; ++z) s.gen.push_back({w, z, a, b});
-      s.gen.push_back({w, a, b});
+        for (Vertex z = w + 1; z < a; ++z) emit({w, z, a, b}, quad(z, w, w, z));
+      emit({w, a, b}, ab + end_a[w] + end_b[w]);
       if (quads)
-        for (Vertex z = b + 1; z < n; ++z) s.gen.push_back({w, a, b, z});
+        for (Vertex z = b + 1; z < n; ++z) emit({w, a, b, z}, quad(w, z, w, z));
     }
     // Leading with a: extras strictly inside the (a, b) arc.
     for (Vertex w = a + 1; w < b; ++w) {
       if (quads)
-        for (Vertex z = w + 1; z < b; ++z) s.gen.push_back({a, w, z, b});
-      s.gen.push_back({a, w, b});
+        for (Vertex z = w + 1; z < b; ++z) emit({a, w, z, b}, quad(w, z, w, z));
+      emit({a, w, b}, ab + end_a[w] + end_b[w]);
     }
     // Leading with a, b: extras beyond b.
     for (Vertex w = b + 1; w < n; ++w) {
-      s.gen.push_back({a, b, w});
+      emit({a, b, w}, ab + end_a[w] + end_b[w]);
       if (quads)
-        for (Vertex z = w + 1; z < n; ++z) s.gen.push_back({a, b, w, z});
+        for (Vertex z = w + 1; z < n; ++z) emit({a, b, w, z}, quad(z, w, w, z));
     }
   }
 
-  /// Stable bucket sort by freshness, descending — the same ordering the
-  /// former std::stable_sort over the lex-sorted list produced, pinned
-  /// by the golden node-count tests. Freshness of a C3/C4 is in [0, 4].
-  std::size_t order_candidates(DepthScratch& s) const {
-    const std::size_t k = s.gen.size();
-    s.fresh.resize(k);
-    s.ordered.resize(k);
-    std::size_t cnt[5] = {0, 0, 0, 0, 0};
-    for (std::size_t i = 0; i < k; ++i) {
-      const int f = fresh(s.gen[i]);
-      s.fresh[i] = static_cast<std::uint8_t>(f);
-      ++cnt[f];
-    }
-    std::size_t off[5];
-    std::size_t acc = 0;
-    for (int f = 4; f >= 0; --f) {
-      off[f] = acc;
-      acc += cnt[f];
-    }
-    for (std::size_t i = 0; i < k; ++i) s.ordered[off[s.fresh[i]]++] = s.gen[i];
-    return k;
+  /// Bucket the candidates through (a, b) by freshness, keeping those
+  /// whose fresh distance is at least `need` and counting the rest.
+  void fill(Vertex a, Vertex b, std::uint64_t need, DepthScratch& s) {
+    std::uint32_t dead[4] = {0, 0, 0, 0};
+    for (Bucket& bucket : s.by_fresh) bucket.kept.clear();
+    for_each_candidate(a, b, [&](const SmallCycle& c, std::uint32_t score) {
+      const std::uint32_t f = (score & kFreshMask) - 1;
+      if ((score >> kFreshBits) < need) {
+        ++dead[f];
+        return;
+      }
+      s.by_fresh[f].kept.push_back({c, dead[f]});
+      dead[f] = 0;
+    });
+    for (int f = 0; f < 4; ++f) s.by_fresh[f].dead_after = dead[f];
+  }
+
+  /// The full branching list for chord (a, b) in search order: freshness
+  /// descending, stable on the lexicographic generation order.
+  std::vector<SmallCycle> ordered_candidates(Vertex a, Vertex b) {
+    DepthScratch s;
+    fill(a, b, 0, s);
+    std::vector<SmallCycle> out;
+    for (int f = 3; f >= 0; --f)
+      for (const Kept& k : s.by_fresh[f].kept) out.push_back(k.c);
+    return out;
+  }
+
+  /// Least fresh distance L a child of this node (`budget` cycles left)
+  /// needs not to be a dead leaf. The child has budget - 1 cycles left
+  /// and remaining_load - L load: it finds a cover when L ==
+  /// remaining_load, and otherwise fails at once when budget == 1 or when
+  /// the capacity prune rejects it, ceil((remaining_load - L) / n) >
+  /// budget - 1, that is L < remaining_load - n * (budget - 1).
+  std::uint64_t leaf_threshold(std::uint64_t budget) const {
+    if (budget == 1) return remaining_load;
+    const std::uint64_t left = budget - 1;
+    if (!opts.use_capacity_prune ||
+        left >= util::ceil_div<std::uint64_t>(remaining_load, n))
+      return 0;
+    return remaining_load - n * left;
   }
 
   /// Count one branch node against the budget; false aborts the search.
@@ -257,6 +293,25 @@ struct Search {
     found = true;
   }
 
+  /// Count `k` dead leaves, each a node exactly as if it were applied,
+  /// visited and undone; false aborts the search. When none of the k
+  /// nodes lands on a poll or at the edge of the budget, they are one add.
+  bool consume_dead(std::uint32_t k) {
+    const std::uint64_t poll_mask =
+        winner != nullptr ? kCancelCheckMask : kInterruptCheckMask;
+    const bool in_budget = shared_budget == nullptr
+                               ? nodes + k <= opts.max_nodes
+                               : k <= grant;
+    if ((nodes & poll_mask) + k <= poll_mask && in_budget) {
+      nodes += k;
+      if (shared_budget != nullptr) grant -= k;
+      return true;
+    }
+    for (; k != 0; --k)
+      if (!consume_node()) return false;
+    return true;
+  }
+
   bool dfs(std::uint64_t budget) {
     if (!consume_node()) return false;
     Vertex a = 0, b = 0;
@@ -270,18 +325,21 @@ struct Search {
     if (opts.use_capacity_prune &&
         util::ceil_div<std::uint64_t>(remaining_load, n) > budget)
       return false;
-    const std::size_t depth = chosen.size();
-    generate(a, b, arena[depth]);
-    const std::size_t k = order_candidates(arena[depth]);
-    for (std::size_t i = 0; i < k; ++i) {
-      const SmallCycle c = arena[depth].ordered[i];
-      apply(c, +1);
-      chosen.push_back(c);
-      if (dfs(budget - 1)) return true;
-      chosen.pop_back();
-      apply(c, -1);
-      if (node_budget_hit || cancelled || deadline_hit || cancel_hit)
-        return false;
+    DepthScratch& s = arena[chosen.size()];
+    fill(a, b, leaf_threshold(budget), s);
+    for (int f = 3; f >= 0; --f) {
+      const Bucket& bucket = s.by_fresh[f];
+      for (const Kept& k : bucket.kept) {
+        if (!consume_dead(k.dead_before)) return false;
+        apply(k.c, +1);
+        chosen.push_back(k.c);
+        if (dfs(budget - 1)) return true;
+        chosen.pop_back();
+        apply(k.c, -1);
+        if (node_budget_hit || cancelled || deadline_hit || cancel_hit)
+          return false;
+      }
+      if (!consume_dead(bucket.dead_after)) return false;
     }
     return false;
   }
@@ -334,10 +392,8 @@ SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
     return res;
   }
 
-  Search::DepthScratch root_scratch;
-  root.generate(a, b, root_scratch);
-  const std::size_t fanout = root.order_candidates(root_scratch);
-  const std::vector<SmallCycle> roots = root_scratch.ordered;
+  const std::vector<SmallCycle> roots = root.ordered_candidates(a, b);
+  const std::size_t fanout = roots.size();
 
   // Workers share the remaining node budget and clone the initialized
   // root state instead of recomputing it. The winner is the *lowest*
@@ -456,13 +512,9 @@ namespace detail {
 std::vector<Cycle> candidate_cycles(std::uint32_t n, Vertex a, Vertex b,
                                     const SolverOptions& opts) {
   Search s(n, opts);
-  Search::DepthScratch scratch;
-  s.generate(a, b, scratch);
-  const std::size_t k = s.order_candidates(scratch);
   std::vector<Cycle> out;
-  out.reserve(k);
-  for (std::size_t i = 0; i < k; ++i)
-    out.push_back(scratch.ordered[i].to_cycle());
+  for (const SmallCycle& c : s.ordered_candidates(a, b))
+    out.push_back(c.to_cycle());
   return out;
 }
 

@@ -16,12 +16,12 @@
 
 #include <cstddef>
 #include <memory>
-#include <mutex>
 
 #include "ccov/engine/cache.hpp"
 #include "ccov/engine/metrics.hpp"
 #include "ccov/engine/registry.hpp"
 #include "ccov/engine/request.hpp"
+#include "ccov/util/thread_annotations.hpp"
 #include "ccov/util/thread_pool.hpp"
 
 namespace ccov::engine {
@@ -57,7 +57,8 @@ class Engine {
   /// The engine's shared thread pool (one worker per hardware thread),
   /// created on first call — engines that never batch never spawn a
   /// thread — and reused for the engine's lifetime. Concurrent batches
-  /// isolate themselves with util::TaskGroup tokens.
+  /// isolate themselves with util::TaskGroup tokens. Throws when the
+  /// pool cannot start its threads; the next call tries again.
   util::ThreadPool& pool();
 
   /// Cache-hit fast path for serving loops: when the request is
@@ -109,8 +110,8 @@ class Engine {
   Counter* timed_out_ = nullptr;     ///< requests past their deadline
   Counter* degraded_ = nullptr;      ///< greedy-fallback answers served
   Counter* cancellations_ = nullptr; ///< solves aborted by the cancel token
-  std::once_flag pool_once_;
-  std::unique_ptr<util::ThreadPool> pool_;
+  util::Mutex pool_mu_;
+  std::unique_ptr<util::ThreadPool> pool_ CCOV_GUARDED_BY(pool_mu_);
 };
 
 }  // namespace ccov::engine

@@ -32,7 +32,17 @@ std::vector<CoverResponse> BatchRunner::run(
       results[i].error = e.what();
     }
   };
-  if (opts_.jobs == 1 || requests.size() <= 1) {
+  // A pool that cannot start its threads leaves the batch to run inline,
+  // as with jobs == 1: answers do not depend on the worker count, and
+  // Engine::pool() tries again on the next batch.
+  util::ThreadPool* pool = nullptr;
+  if (opts_.jobs != 1 && requests.size() > 1) {
+    try {
+      pool = &engine_.pool();
+    } catch (const std::exception&) {  // run inline below
+    }
+  }
+  if (pool == nullptr) {
     for (std::size_t i = 0; i < requests.size(); ++i) run_one(i);
     return results;
   }
@@ -56,13 +66,12 @@ std::vector<CoverResponse> BatchRunner::run(
   // workers bound the batch's concurrency even when the pool is larger,
   // and the TaskGroup token keeps this batch isolated from any other
   // batch running on the same pool.
-  util::ThreadPool& pool = engine_.pool();
-  const std::size_t jobs = opts_.jobs == 0 ? pool.size() : opts_.jobs;
+  const std::size_t jobs = opts_.jobs == 0 ? pool->size() : opts_.jobs;
   const std::size_t workers = std::min(jobs, primaries.size());
   std::atomic<std::size_t> next{0};
   util::TaskGroup group;
   for (std::size_t w = 0; w < workers; ++w) {
-    pool.submit(group, [&] {
+    pool->submit(group, [&] {
       for (std::size_t k = next.fetch_add(1, std::memory_order_relaxed);
            k < primaries.size();
            k = next.fetch_add(1, std::memory_order_relaxed))

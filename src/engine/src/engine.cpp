@@ -66,9 +66,11 @@ Engine::Engine(EngineOptions opts)
 }
 
 util::ThreadPool& Engine::pool() {
-  std::call_once(pool_once_, [this] {
-    pool_ = std::make_unique<util::ThreadPool>();
-  });
+  // A mutex, not std::call_once: a pool whose constructor throws must
+  // leave the next call free to try again, and a call_once whose callable
+  // throws hangs every later call under ThreadSanitizer.
+  util::MutexLock lock(pool_mu_);
+  if (pool_ == nullptr) pool_ = std::make_unique<util::ThreadPool>();
   return *pool_;
 }
 

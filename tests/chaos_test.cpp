@@ -815,3 +815,43 @@ TEST(Chaos, SolveParallelAnswersInBandWhenASpawnFails) {
   EXPECT_EQ(answered.rfind("{\"id\":1,\"ok\":true,", 0), 0u) << answered;
   EXPECT_NE(answered.find("\"found\":true"), std::string::npos) << answered;
 }
+
+TEST(Chaos, PipelinedSessionRunsTheBatchInlineWhenThePoolCannotStart) {
+  if (!fp::compiled())
+    GTEST_SKIP() << "binary built without CCOV_FAILPOINTS=ON";
+  ClearAllGuard guard;
+  // Two batches of four distinct requests. The first batch finds no
+  // pool and answers inline; the second starts the pool afresh.
+  const std::string script =
+      "{\"algo\":\"construct\",\"n\":9}\n"
+      "{\"algo\":\"greedy\",\"n\":10}\n"
+      "{\"algo\":\"solve\",\"n\":7}\n"
+      "{\"algo\":\"triple\",\"n\":12}\n"
+      "{\"algo\":\"construct\",\"n\":14}\n"
+      "{\"algo\":\"emz\",\"n\":11}\n"
+      "{\"algo\":\"solve\",\"n\":9}\n"
+      "{\"algo\":\"greedy\",\"n\":13}\n";
+  const auto serve = [&](std::size_t jobs) {
+    eng::Engine engine;
+    eng::ServeConfig config;
+    config.jobs = jobs;
+    config.batch = 4;
+    std::istringstream in(script);
+    std::ostringstream out;
+    EXPECT_EQ(eng::serve_loop(in, out, engine, config), 0);
+    return out.str();
+  };
+  const std::string inline_answers = serve(1);
+  ASSERT_TRUE(fp::set("thread_spawn", "error*1"));
+  const std::string pooled = serve(2);
+  EXPECT_EQ(fp::hits("thread_spawn"), 1u);
+  EXPECT_EQ(pooled, inline_answers);
+  std::istringstream lines(pooled);
+  std::size_t answered = 0;
+  for (std::string line; std::getline(lines, line); ++answered) {
+    const std::string head =
+        "{\"id\":" + std::to_string(answered) + ",\"ok\":true,";
+    EXPECT_EQ(line.rfind(head, 0), 0u) << line;
+  }
+  EXPECT_EQ(answered, 8u);
+}

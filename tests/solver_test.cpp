@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/solver.hpp"
+#include "reference_solver.hpp"
 
 using namespace ccov::covering;
 
@@ -76,9 +81,8 @@ TEST(Solver, TrivialK3) {
 // the original vector/sort-based implementation, and the bitset/arena core
 // must reproduce them exactly. Any future "optimization" that changes the
 // candidate ordering, the freshness tie-break, or the pruning sequence
-// trips these immediately. (The n=12 proof at budget 18 — 39,310,429
-// nodes — is pinned out-of-band in the perf harness; it is too slow for
-// the unit tier.)
+// trips these immediately. The n=12 proof at budget 18 is pinned by
+// TwelveProofNodesPinned below.
 
 struct SearchGolden {
   std::uint32_t n;
@@ -136,6 +140,19 @@ TEST(SolverGolden, InfeasibleProofNodesPinned) {
     EXPECT_TRUE(res.exhausted) << "n=" << g.n;
     EXPECT_EQ(res.nodes, g.nodes) << "n=" << g.n;
   }
+}
+
+TEST(SolverGolden, TwelveProofNodesPinned) {
+  // rho(12) = 19: no covering with 18 cycles, proved by exhaustion.
+  constexpr std::uint64_t kProofNodes = 39'310'429;
+  const auto ser = solve_with_budget(12, 18);
+  EXPECT_FALSE(ser.found);
+  EXPECT_TRUE(ser.exhausted);
+  EXPECT_EQ(ser.nodes, kProofNodes);
+  const auto par = solve_with_budget_parallel(12, 18);
+  EXPECT_FALSE(par.found);
+  EXPECT_TRUE(par.exhausted);
+  EXPECT_EQ(par.nodes, kProofNodes);
 }
 
 TEST(SolverGolden, MinimumWitnessPinnedOnK9) {
@@ -199,4 +216,118 @@ TEST(SolverCandidates, TriangleOnlyWhenMaxLenIsThree) {
   const auto cands = detail::candidate_cycles(9, 2, 6, opts);
   EXPECT_EQ(cands.size(), 7u);  // n - 2 triangles, no quads
   for (const Cycle& c : cands) EXPECT_EQ(c.size(), 3u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential oracle: the search decides dead leaves in their parent,
+// and must still count, poll and order everything exactly as the search
+// in reference_solver.hpp, which applies and visits every child. Each
+// shard sweeps a range of n over budgets rho-2..rho+1, node caps around
+// the 1,024/4,096-node polls and the shared-budget chunk, and three
+// option sets: the default, triangles only, and no capacity prune. The
+// parallel search must keep within the cap and, whenever the cap is not
+// hit, equal the reference at 1, 2 and 4 threads.
+
+namespace {
+
+constexpr std::uint64_t kOracleCaps[] = {1,    7,    1000,  4095,
+                                         4096, 4097, 20000, 300000};
+// Shard s sweeps n in [kOracleShardFrom[s], kOracleShardFrom[s + 1]).
+constexpr std::uint32_t kOracleShardFrom[] = {3,  11, 15, 19, 23, 26, 29,
+                                              32, 35, 37, 39, 41, 43, 45};
+constexpr int kOracleShards =
+    static_cast<int>(std::size(kOracleShardFrom)) - 1;
+
+SolverOptions oracle_options(int variant, std::uint64_t cap) {
+  SolverOptions opts;
+  opts.max_nodes = cap;
+  if (variant == 1) opts.max_cycle_len = 3;
+  if (variant == 2) opts.use_capacity_prune = false;
+  return opts;
+}
+
+void expect_same(const SolverResult& got, const SolverResult& want,
+                 const std::string& where) {
+  EXPECT_EQ(got.nodes, want.nodes) << where;
+  EXPECT_EQ(got.found, want.found) << where;
+  EXPECT_EQ(got.exhausted, want.exhausted) << where;
+  EXPECT_EQ(got.timed_out, want.timed_out) << where;
+  EXPECT_EQ(to_string(got.cover), to_string(want.cover)) << where;
+}
+
+}  // namespace
+
+class SolverOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolverOracle, MatchesReferenceSearch) {
+  std::size_t parallel_checks = 0;
+  for (std::uint32_t n = kOracleShardFrom[GetParam()];
+       n < kOracleShardFrom[GetParam() + 1]; ++n) {
+    const std::uint64_t r = rho(n);
+    for (std::uint64_t budget = r < 2 ? 0 : r - 2; budget <= r + 1;
+         ++budget) {
+      for (int variant = 0; variant < 3; ++variant) {
+        for (const std::uint64_t cap : kOracleCaps) {
+          const SolverOptions opts = oracle_options(variant, cap);
+          const std::string where = "n=" + std::to_string(n) +
+                                    " budget=" + std::to_string(budget) +
+                                    " variant=" + std::to_string(variant) +
+                                    " cap=" + std::to_string(cap);
+          const auto want = reference::solve_with_budget(n, budget, opts);
+          expect_same(solve_with_budget(n, budget, opts), want, where);
+          if (!want.exhausted) {
+            // The parallel search must keep to the cap too: the shared
+            // budget grants cap - 1 nodes after the root, and each root
+            // subtree counts at most one refused node.
+            const auto par = solve_with_budget_parallel(n, budget, opts, 2);
+            EXPECT_LE(par.nodes,
+                      cap + detail::candidate_cycles(n, 0, 1, opts).size())
+                << where;
+            continue;
+          }
+          // One thread walks the roots in order on the shared budget, so
+          // it never starves a subtree; more threads may, and then report
+          // exhausted == false with a cover that need not be the serial one.
+          for (const std::size_t threads : {1, 2, 4}) {
+            const auto par =
+                solve_with_budget_parallel(n, budget, opts, threads);
+            const std::string at = where + " threads=" +
+                                   std::to_string(threads);
+            if (threads == 1) {
+              EXPECT_TRUE(par.exhausted) << at;
+            }
+            if (!par.exhausted) continue;
+            expect_same(par, want, at);
+            ++parallel_checks;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(parallel_checks, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, SolverOracle,
+                         ::testing::Range(0, kOracleShards));
+
+TEST(SolverOracle, CandidateListsMatchReference) {
+  for (std::uint32_t n = 3; n <= 12; ++n) {
+    for (const std::uint32_t len : {3u, 4u}) {
+      SolverOptions opts;
+      opts.max_cycle_len = len;
+      reference::solver_detail::Search ref(n, opts);
+      reference::solver_detail::Search::DepthScratch scratch;
+      for (Vertex a = 0; a < n; ++a) {
+        for (Vertex b = a + 1; b < n; ++b) {
+          ref.generate(a, b, scratch);
+          const std::size_t k = ref.order_candidates(scratch);
+          std::vector<Cycle> want;
+          for (std::size_t i = 0; i < k; ++i)
+            want.push_back(scratch.ordered[i].to_cycle());
+          EXPECT_EQ(detail::candidate_cycles(n, a, b, opts), want)
+              << "chord (" << a << "," << b << "), n=" << n;
+        }
+      }
+    }
+  }
 }
