@@ -11,6 +11,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "ccov/covering/greedy.hpp"
 #include "ccov/covering/solver.hpp"
 #include "ccov/engine/cache.hpp"
+#include "ccov/engine/engine.hpp"
+#include "ccov/engine/serve.hpp"
 #include "ccov/graph/graph.hpp"
 #include "ccov/protection/simulator.hpp"
 #include "ccov/util/prng.hpp"
@@ -288,6 +291,41 @@ BENCHMARK(BM_CanonicalKey)
     ->ArgNames({"chords", "n", "symmetric"})
     ->ArgsProduct({{8, 24, 64, 128}, {30, 64, 150}, {0}})
     ->Args({64, 64, 1});
+
+// One serve response line for a K_n cover, as a construct miss renders
+// it (n = 149: 2,775 cycles, 8,325 vertices). bytes/s = response bytes.
+static void BM_RenderResponse(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  engine::CoverResponse resp;
+  resp.ok = resp.found = resp.validated = resp.valid = true;
+  resp.algorithm = "construct";
+  resp.n = n;
+  resp.cover = covering::build_optimal_cover(n);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string line = engine::serve_response_line(7, resp);
+    bytes += line.size();
+    benchmark::DoNotOptimize(line.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_RenderResponse)->Arg(149);
+
+// A construct request that misses the store, end to end through
+// Engine::run: build, validate and insert. Each iteration first empties
+// the store, so every run is a miss (freeing the previous entry is
+// timed too, as an eviction would be).
+static void BM_EngineMissConstruct(benchmark::State& state) {
+  engine::Engine eng;
+  engine::CoverRequest req;
+  req.algorithm = "construct";
+  req.n = static_cast<std::uint32_t>(state.range(0));
+  for (auto _ : state) {
+    eng.cache().clear();
+    benchmark::DoNotOptimize(eng.run(req));
+  }
+}
+BENCHMARK(BM_EngineMissConstruct)->Arg(149)->Arg(150);
 
 static void BM_LoopbackSimulation(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

@@ -13,8 +13,9 @@ namespace eng = ccov::engine;
 /// size n = 3..258; each following byte pair is one demand chord, its
 /// vertices reduced mod n (self-loops and repeated chords included — the
 /// demand is a multiset). Aborts when the fast key or its group element
-/// differs from the exhaustive 2n-image scan, or when mapping a cover
-/// into the canonical frame and back is not the identity.
+/// differs from the exhaustive 2n-image scan, when mapping a cover into
+/// the canonical frame differs from the reference's image, or when
+/// mapping it back is not the identity.
 int ccov_fuzz_canonical_key(const std::uint8_t* data, std::size_t size) {
   if (size < 1) return 0;
   eng::CoverRequest req;
@@ -32,13 +33,18 @@ int ccov_fuzz_canonical_key(const std::uint8_t* data, std::size_t size) {
       fast.to_canonical.shift != ref.to_canonical.shift)
     std::abort();
 
-  // The demand chords as 2-vertex cycles: apply_inverse must undo
-  // apply_element exactly, vertex for vertex.
+  // The demand chords as 2-vertex cycles: the in-place apply_element
+  // must match the reference's rotate/reflect image, and apply_inverse
+  // must undo it exactly, vertex for vertex.
   ccov::covering::RingCover cover;
   cover.n = req.n;
   for (const auto& e : req.demand) cover.cycles.push_back({e.u, e.v});
-  const auto back = eng::apply_inverse(
-      eng::apply_element(cover, fast.to_canonical), fast.to_canonical);
-  if (back.cycles != cover.cycles) std::abort();
+  ccov::covering::RingCover moved = cover;
+  eng::apply_element(&moved, fast.to_canonical);
+  if (moved.cycles !=
+      eng::reference::apply_element(cover, fast.to_canonical).cycles)
+    std::abort();
+  eng::apply_inverse(&moved, fast.to_canonical);
+  if (moved.cycles != cover.cycles) std::abort();
   return 0;
 }

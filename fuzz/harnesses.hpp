@@ -54,3 +54,8 @@ int ccov_fuzz_greedy_cover(const std::uint8_t* data, std::size_t size);
 /// search in tests/reference_solver.hpp, which visits every child the
 /// library decides in its parent; aborts on any result mismatch.
 int ccov_fuzz_solver(const std::uint8_t* data, std::size_t size);
+
+/// engine/serve.hpp serve_response_line — differential against the
+/// per-value JsonWriter renderer in tests/reference_render.hpp; aborts
+/// on any byte mismatch.
+int ccov_fuzz_render(const std::uint8_t* data, std::size_t size);

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "ccov/covering/construct.hpp"
@@ -16,10 +17,12 @@ Vertex relabel_after_insert(Vertex old, std::uint32_t eA, std::uint32_t eB) {
   return old + 2;
 }
 
-/// The circularly ordered cycle on a vertex set is unique: sort ascending.
-Cycle sorted_cycle(std::vector<Vertex> vs) {
+/// The circularly ordered cycle on a vertex set is unique: append it
+/// sorted ascending, sorting on the stack rather than in a temporary.
+template <std::size_t K>
+void push_sorted(std::vector<Cycle>& cycles, std::array<Vertex, K> vs) {
   std::sort(vs.begin(), vs.end());
-  return vs;
+  cycles.emplace_back(vs.begin(), vs.end());
 }
 
 /// Hand-verified optimal base coverings.
@@ -76,8 +79,8 @@ void even_step(RingCover& cover, std::uint32_t m) {
 
   for (Vertex i = 0; i + 3 <= p; ++i)  // i = 0..p-3
     cover.cycles.push_back({i, v, static_cast<Vertex>(p + i), u});
-  cover.cycles.push_back(sorted_cycle({static_cast<Vertex>(p - 2), v, u}));
-  cover.cycles.push_back(sorted_cycle({v, static_cast<Vertex>(m - 2), u}));
+  push_sorted<3>(cover.cycles, {static_cast<Vertex>(p - 2), v, u});
+  push_sorted<3>(cover.cycles, {v, static_cast<Vertex>(m - 2), u});
   cover.n = m;
 }
 
@@ -98,22 +101,25 @@ void even_step(RingCover& cover, std::uint32_t m) {
 /// example n = 14 gives 28 cycles against rho = 25.
 RingCover fallback_even(std::uint32_t n) {
   const Vertex p = n / 2;
+  const bool self_paired = p % 2 == 0 && p / 2 >= 2;
+  const std::size_t pair_classes = (p - 1) / 2 - 1;  // d = 2..(p-1)/2, p >= 3
   RingCover cover;
   cover.n = n;
+  cover.cycles.reserve(std::size_t{p} * (2 + pair_classes) +
+                       (self_paired ? p / 2 : 0));
   auto at = [n](std::uint32_t v) { return static_cast<Vertex>(v % n); };
+  std::vector<Cycle>& out = cover.cycles;
   for (Vertex x = 0; x < p; ++x)
-    cover.cycles.push_back(sorted_cycle({at(x), at(x + 1), at(x + p)}));
+    push_sorted<3>(out, {at(x), at(x + 1), at(x + p)});
   for (Vertex a = p; a < 2 * p; ++a)
-    cover.cycles.push_back(
-        sorted_cycle({at(a), at(a + 1), at(a + p), at(a + p + 1)}));
+    push_sorted<4>(out, {at(a), at(a + 1), at(a + p), at(a + p + 1)});
   for (Vertex d = 2; d < p - d; ++d)
     for (Vertex x = 0; x < p; ++x)
-      cover.cycles.push_back(
-          sorted_cycle({at(x), at(x + d), at(x + p), at(x + p + d)}));
-  if (p % 2 == 0 && p / 2 >= 2)
+      push_sorted<4>(out, {at(x), at(x + d), at(x + p), at(x + p + d)});
+  if (self_paired)
     for (Vertex x = 0; x < p / 2; ++x)
-      cover.cycles.push_back(
-          sorted_cycle({at(x), at(x + p / 2), at(x + p), at(x + p + p / 2)}));
+      push_sorted<4>(out,
+                     {at(x), at(x + p / 2), at(x + p), at(x + p + p / 2)});
   return cover;
 }
 

@@ -17,24 +17,29 @@ namespace ccov::covering {
 /// Counting gives rho(2p+1) = rho(2p-1) + p with p-1 quads + 1 triangle
 /// added per step: totals p C3 + p(p-1)/2 C4 = p(p+1)/2 cycles, matching
 /// the capacity lower bound, hence optimal.
+///
+/// Each cycle is written once, in the labels of K_n, n = 2P+1. The
+/// relabelling puts the old u and v at the front of sides A and B, so
+/// step p's u_p and v_p end at labels P-p and 2P-p, side A of step p
+/// (u_{p-1}, ..., u_1) at P-p+1..P-1, side B (v_{p-1}, ..., v_1, then
+/// the base triangle's third vertex) at 2P-p+1..2P. With d = P-p, step
+/// p appends the quads (d, d+i, d+P, d+P+i) and the triangle
+/// (d, d+P, 2P); the base triangle is (P-1, 2P-1, 2P). O(n^2) time, in
+/// the order the induction appends the cycles.
 RingCover construct_odd_cover(std::uint32_t n) {
   if (n < 3 || n % 2 == 0)
     throw std::invalid_argument("construct_odd_cover: odd n >= 3 required");
 
+  const Vertex P = (n - 1) / 2;
   RingCover cover;
-  cover.n = 3;
-  cover.cycles = {{0, 1, 2}};
-
-  for (std::uint32_t m = 5; m <= n; m += 2) {
-    const Vertex p = (m - 1) / 2;
-    // Relabel: old i -> i+1 for i <= p-2, old i -> i+2 for i >= p-1.
-    for (Cycle& c : cover.cycles)
-      for (Vertex& v : c) v = v <= p - 2 ? v + 1 : v + 2;
-    // New cycles covering all chords incident to u = 0 and v = p.
-    for (Vertex i = 1; i + 1 <= p; ++i)
-      cover.cycles.push_back({0, i, p, static_cast<Vertex>(p + i)});
-    cover.cycles.push_back({0, p, static_cast<Vertex>(2 * p)});
-    cover.n = m;
+  cover.n = n;
+  cover.cycles.reserve(std::size_t{P} * (P + 1) / 2);
+  cover.cycles.push_back({P - 1, 2 * P - 1, 2 * P});
+  for (Vertex p = 2; p <= P; ++p) {
+    const Vertex d = P - p;
+    for (Vertex i = 1; i < p; ++i)
+      cover.cycles.push_back({d, d + i, d + P, d + P + i});
+    cover.cycles.push_back({d, d + P, 2 * P});
   }
   return cover;
 }

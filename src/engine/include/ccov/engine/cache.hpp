@@ -4,8 +4,8 @@
 /// canonicalized requests. The ring's automorphism group D_n acts on
 /// demand graphs; requests whose demands are rotations/reflections of each
 /// other share one entry: the stored cover lives in the canonical frame
-/// and is mapped back through the group element on every hit (reusing
-/// canonical.hpp's rotate_cover/reflect_cover). All-to-all requests are
+/// and is mapped back through the group element on every hit, in the
+/// copy the hit hands out. All-to-all requests are
 /// D_n-invariant, so their key is just the scalar request fields.
 ///
 /// The cache is sharded: the key hash selects one of N independent
@@ -63,11 +63,10 @@ CanonicalKey canonical_request_key(const CoverRequest& req);
 /// vertex is < n. The engine looks up and caches only these.
 bool cacheable_demand(const CoverRequest& req);
 
-/// Apply `g` (respectively its inverse) to every vertex of a cover.
-covering::RingCover apply_element(const covering::RingCover& cover,
-                                  const DihedralElement& g);
-covering::RingCover apply_inverse(const covering::RingCover& cover,
-                                  const DihedralElement& g);
+/// Apply `g` (respectively its inverse) to every vertex of a cover, in
+/// place: one pass over the vertices, none when `g` fixes C_n.
+void apply_element(covering::RingCover* cover, const DihedralElement& g);
+void apply_inverse(covering::RingCover* cover, const DihedralElement& g);
 
 class CoverCache {
  public:

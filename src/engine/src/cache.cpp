@@ -5,7 +5,6 @@
 #include <functional>
 #include <utility>
 
-#include "ccov/covering/canonical.hpp"
 #include "ccov/util/failpoint.hpp"
 
 namespace ccov::engine {
@@ -88,6 +87,18 @@ bool demand_within_ring(const CoverRequest& req) {
                      });
 }
 
+/// True when g fixes every vertex of C_n (n = 0 included: nothing moves).
+bool is_identity(const DihedralElement& g, std::uint32_t n) {
+  return n == 0 || (!g.reflect && g.shift % n == 0);
+}
+
+/// Replace every vertex v of `cover` by map(v), in place.
+template <typename Map>
+void relabel(covering::RingCover* cover, Map map) {
+  for (covering::Cycle& c : cover->cycles)
+    for (covering::Vertex& v : c) v = map(v);
+}
+
 /// Decimal append without a std::to_string temporary — key building sits
 /// on the cache-hit hot path. Bytes match what ostringstream printed
 /// (bools as 1/0 via the integer overloads).
@@ -168,21 +179,28 @@ bool cacheable_demand(const CoverRequest& req) {
   return req.n >= 3 && demand_within_ring(req);
 }
 
-covering::RingCover apply_element(const covering::RingCover& cover,
-                                  const DihedralElement& g) {
-  if (cover.n == 0 || (!g.reflect && g.shift % cover.n == 0)) return cover;
-  const covering::RingCover tmp =
-      g.reflect ? covering::reflect_cover(cover) : cover;
-  return covering::rotate_cover(tmp, g.shift % cover.n);
+// Both maps compose covering::reflect_cover (v -> (n - v) % n) and
+// covering::rotate_cover (v -> (v + s) % n) vertex by vertex, with the
+// same arithmetic, so their images are the ones the two calls build.
+void apply_element(covering::RingCover* cover, const DihedralElement& g) {
+  const std::uint32_t n = cover->n;
+  if (is_identity(g, n)) return;
+  const std::uint32_t s = g.shift % n;
+  relabel(cover, [n, s, r = g.reflect](covering::Vertex v) {
+    if (r) v = (n - v) % n;
+    return static_cast<covering::Vertex>((v + s) % n);
+  });
 }
 
-covering::RingCover apply_inverse(const covering::RingCover& cover,
-                                  const DihedralElement& g) {
-  if (cover.n == 0 || (!g.reflect && g.shift % cover.n == 0)) return cover;
+void apply_inverse(covering::RingCover* cover, const DihedralElement& g) {
+  const std::uint32_t n = cover->n;
+  if (is_identity(g, n)) return;
   // g = rot_s . refl^r, so g^{-1} = refl^r . rot_{-s}.
-  const covering::RingCover tmp = covering::rotate_cover(
-      cover, (cover.n - g.shift % cover.n) % cover.n);
-  return g.reflect ? covering::reflect_cover(tmp) : tmp;
+  const std::uint32_t s = (n - g.shift % n) % n;
+  relabel(cover, [n, s, r = g.reflect](covering::Vertex v) {
+    v = (v + s) % n;
+    return r ? static_cast<covering::Vertex>((n - v) % n) : v;
+  });
 }
 
 CoverCache::CoverCache(std::size_t capacity, std::size_t shards)
@@ -219,14 +237,9 @@ std::optional<CoverResponse> CoverCache::lookup(const CanonicalKey& ck) {
     resp = it->second->resp;
   }
   hits_.fetch_add(1, std::memory_order_relaxed);
-  // Map the canonical-frame cover back into the request's own frame.
-  // Skip the identity outright: apply_inverse would round-trip the
-  // whole cover through a by-value copy just to hand it back unchanged.
-  const DihedralElement& g = ck.to_canonical;
-  const bool identity =
-      !g.reflect && (resp.cover.n == 0 || g.shift % resp.cover.n == 0);
-  if (resp.found && !identity)
-    resp.cover = apply_inverse(resp.cover, g);
+  // Map the canonical-frame cover back into the request's own frame, in
+  // the copy just taken.
+  if (resp.found) apply_inverse(&resp.cover, ck.to_canonical);
   resp.cache_hit = true;
   resp.nodes = 0;  // nothing was searched
   resp.elapsed_ms = 0.0;
@@ -260,8 +273,9 @@ void CoverCache::insert(const CanonicalKey& ck, const CoverResponse& resp) {
   CoverResponse stored = resp;
   stored.cache_hit = false;
   // Store the cover in the canonical frame so every D_n-equivalent
-  // request shares this one entry.
-  if (stored.found) stored.cover = apply_element(stored.cover, ck.to_canonical);
+  // request shares this one entry (relabelled in place; a K_n key's
+  // identity frame leaves it as copied).
+  if (stored.found) apply_element(&stored.cover, ck.to_canonical);
   store(ck.key, std::move(stored));
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <functional>
 #include <istream>
@@ -269,6 +270,32 @@ bool parse_serve_line(const std::string& line, ServeCommand* cmd,
 
 namespace {
 
+/// Append `cover` as `[[v,v,v],[v,v,v,v],...]`, the bytes a
+/// begin_array/value/end_array per vertex writes, in one pass: the
+/// string grows once to a bound (10 digits and a separator per vertex,
+/// brackets and a separator per cycle) and is cut back to what was
+/// written.
+void append_cover(std::string* out, const covering::RingCover& cover) {
+  std::size_t bound = 2;
+  for (const covering::Cycle& c : cover.cycles) bound += 3 + 11 * c.size();
+  const std::size_t start = out->size();
+  out->resize(start + bound);
+  char* p = out->data() + start;
+  *p++ = '[';
+  for (std::size_t i = 0; i < cover.cycles.size(); ++i) {
+    const covering::Cycle& c = cover.cycles[i];
+    if (i) *p++ = ',';
+    *p++ = '[';
+    for (std::size_t j = 0; j < c.size(); ++j) {
+      if (j) *p++ = ',';
+      p = std::to_chars(p, p + 10, c[j]).ptr;
+    }
+    *p++ = ']';
+  }
+  *p++ = ']';
+  out->resize(static_cast<std::size_t>(p - out->data()));
+}
+
 /// Core renderer behind serve_response_line: appends the response object
 /// (no newline) to `w`, so hot loops can reuse one writer — and its
 /// buffer — across responses. `cache_hit`/`nodes` are taken as
@@ -302,16 +329,7 @@ void render_response_line(json::JsonWriter& w, std::uint64_t id,
   if (resp.degraded) w.key("degraded").value(true);
   if (resp.shed) w.key("shed").value(true);
   if (resp.validated) w.key("valid").value(resp.valid);
-  if (resp.found) {
-    w.key("cover").begin_array();
-    for (const covering::Cycle& c : resp.cover.cycles) {
-      w.begin_array();
-      for (std::size_t j = 0; j < c.size(); ++j)
-        w.value(static_cast<std::uint64_t>(c[j]));
-      w.end_array();
-    }
-    w.end_array();
-  }
+  if (resp.found) append_cover(&w.key("cover").value_buffer(), resp.cover);
   w.end_object();
 }
 
@@ -521,10 +539,15 @@ int serve_session(ServeStream& raw_io, Engine& engine,
   // pipeline worker), so one writer and its buffer serve them all.
   json::JsonWriter w;
   const auto answer = [&](std::vector<Pending>& work) {
-    // Deadline-aware load shedding, decided when the batch starts (after
-    // any queue wait behind earlier flushes) and before the cache probe:
-    // an expired request is answered in-band without solving.
+    // Each line is counted here, by the thread that answers it, before
+    // any verb of the batch runs: a `metrics` verb then reports exactly
+    // the lines before it (itself included), however far the reader
+    // thread has read ahead. Deadline-aware load shedding is decided
+    // when the batch starts (after any queue wait behind earlier
+    // flushes) and before the cache probe: an expired request is
+    // answered in-band without solving.
     for (Pending& p : work) {
+      (p.is_request ? m_requests : p.verb ? m_verbs : m_errors).add(1);
       if (p.is_request && p.req.deadline.expired()) {
         p.shed = true;
         m_shed.add(1);
@@ -636,7 +659,6 @@ int serve_session(ServeStream& raw_io, Engine& engine,
       const LineReader::Result r = reader.next(&line);
       if (r == LineReader::Result::kEof) break;
       if (r == LineReader::Result::kTooLong) {
-        m_errors.add(1);
         pending.push_back(
             {id++, false, {},
              "parse: line exceeds max line length (" +
@@ -648,13 +670,11 @@ int serve_session(ServeStream& raw_io, Engine& engine,
       ServeCommand cmd;
       std::string error;
       if (!parse_serve_line(line, &cmd, &error)) {
-        m_errors.add(1);
         pending.push_back({id++, false, {}, "parse: " + error});
         if (pending.size() >= batch) alive = flush();
         continue;
       }
       if (cmd.is_request()) {
-        m_requests.add(1);
         pending.push_back({id++, true, std::move(cmd.req), {}});
         accept_request(&pending.back().req);
         if (++pending_requests >= batch) alive = flush();
@@ -664,7 +684,6 @@ int serve_session(ServeStream& raw_io, Engine& engine,
       // flush of their own: flushes run in order, so whatever the handler
       // observes (cache stats, metrics) reflects exactly the requests that
       // preceded it in the stream.
-      m_verbs.add(1);
       alive = flush();
       if (alive) {
         pending.push_back({id++, false, {}, {}, cmd.verb});

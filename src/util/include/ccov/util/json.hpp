@@ -95,6 +95,10 @@ class JsonWriter {
   JsonWriter& value_string(std::string_view v);
   /// Pre-rendered JSON spliced in verbatim (still comma-managed).
   JsonWriter& value_raw(std::string_view v);
+  /// The same splice with no intermediate string: emit the separating
+  /// ',' (if needed), then return the buffer, to which the caller must
+  /// append exactly one complete JSON value.
+  std::string& value_buffer();
 
   /// Pre-size the output buffer — a renderer that knows roughly how big
   /// the document will be skips the geometric-growth reallocations.

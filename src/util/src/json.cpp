@@ -320,4 +320,9 @@ JsonWriter& JsonWriter::value_raw(std::string_view v) {
   return *this;
 }
 
+std::string& JsonWriter::value_buffer() {
+  comma_for_value();
+  return out_;
+}
+
 }  // namespace ccov::util::json

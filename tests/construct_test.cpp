@@ -5,6 +5,7 @@
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/construct.hpp"
 #include "ccov/covering/drc.hpp"
+#include "reference_construct.hpp"
 
 using namespace ccov::covering;
 
@@ -153,4 +154,31 @@ TEST(EvenFallback, AntipodalChordsEachCoveredOnce) {
       if (b - a == n / 2) anti[{a, b}]++;
   EXPECT_EQ(anti.size(), n / 2);
   for (const auto& [ch, cnt] : anti) EXPECT_EQ(cnt, 1) << ch.first;
+}
+
+// ---------- Oracle: the step-by-step constructions ----------
+
+TEST(ConstructOracle, MatchesReferenceCycleForCycle) {
+  // Odd n against the induction replayed with every relabelling, even
+  // n >= 14 against the general construction as it was first written.
+  for (std::uint32_t n = 3; n <= 401; ++n) {
+    if (n % 2 == 0 && n < 14) continue;  // pinned below
+    const RingCover want = n % 2 == 1 ? reference::construct_odd_cover(n)
+                                      : reference::fallback_even(n);
+    const RingCover got = build_optimal_cover(n);
+    ASSERT_EQ(got.n, n);
+    ASSERT_EQ(got.cycles, want.cycles) << "n=" << n;
+  }
+}
+
+TEST(ConstructOracle, InsertionStepCoversArePinned) {
+  // The two even covers built by an insertion step from a base cover.
+  EXPECT_EQ(to_string(build_optimal_cover(8)),
+            "(0 2 5)(1 4 6)(0 1 2 4)(0 1 5 6)(2 4 5 6)(0 3 4 7)(1 3 5 7)"
+            "(2 3 7)(3 6 7)");
+  EXPECT_EQ(to_string(build_optimal_cover(12)),
+            "(0 1 2 6)(0 2 3 7)(0 3 4 8)(0 4 6 9)(0 1 6 10)(1 3 6 8)"
+            "(1 4 7 9)(1 7 8 10)(2 4 9 10)(2 7 8 9)(2 3 8)(3 9 10)"
+            "(4 6 7 10)(0 5 6 11)(1 5 7 11)(2 5 8 11)(3 5 9 11)(4 5 11)"
+            "(5 10 11)");
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -443,14 +444,114 @@ TEST(CoverCache, ApplyElementRoundTrips) {
   for (const bool reflect : {false, true}) {
     for (std::uint32_t shift = 0; shift < 9; ++shift) {
       const eng::DihedralElement g{reflect, shift};
-      const auto there = eng::apply_element(cover, g);
-      const auto back = eng::apply_inverse(there, g);
+      auto there = cover;
+      eng::apply_element(&there, g);
+      auto back = there;
+      eng::apply_inverse(&back, g);
       EXPECT_TRUE(cov::covers_isomorphic(cover, there));
       // Round trip is the identity on the nose, not just up to D_n.
       EXPECT_EQ(cov::canonical_cover(back).cycles,
                 cov::canonical_cover(cover).cycles);
       EXPECT_TRUE(cov::validate_cover(back).ok);
     }
+  }
+}
+
+TEST(CoverCache, InPlaceFramesMatchTheReferenceCopies) {
+  // apply_element/apply_inverse relabel in place; the reference builds
+  // a fresh cover through rotate_cover/reflect_cover. Vertices >= n are
+  // included: both reduce them with the same arithmetic.
+  ccov::util::Xoshiro256 rng(0xF4A3u);
+  for (const std::uint32_t n : {3u, 7u, 11u, 30u, 31u, 149u}) {
+    cov::RingCover cover;
+    cover.n = n;
+    for (int i = 0; i < 40; ++i) {
+      cov::Cycle c(3 + rng.below(4));
+      for (auto& v : c) v = static_cast<cov::Vertex>(rng.below(n));
+      cover.cycles.push_back(c);
+    }
+    cover.cycles.push_back({0, n - 1, n, n + 3, 0xFFFFFFFFu});
+    for (const bool reflect : {false, true}) {
+      for (std::uint32_t shift = 0; shift < n + 2; ++shift) {
+        const eng::DihedralElement g{reflect, shift};
+        auto there = cover;
+        eng::apply_element(&there, g);
+        EXPECT_EQ(there.cycles,
+                  eng::reference::apply_element(cover, g).cycles)
+            << "n=" << n << " reflect=" << reflect << " shift=" << shift;
+        auto back = cover;
+        eng::apply_inverse(&back, g);
+        EXPECT_EQ(back.cycles,
+                  eng::reference::apply_inverse(cover, g).cycles)
+            << "n=" << n << " reflect=" << reflect << " shift=" << shift;
+      }
+    }
+  }
+}
+
+TEST(CoverCache, StoredAndHitCoversMatchTheReferenceFrames) {
+  // Through the cache: a K_n insert is stored as given (identity frame),
+  // a demand insert in the reference's canonical image, and a hit from
+  // any D_n image of the demand hands out the reference's inverse image
+  // of the stored cover.
+  eng::CoverCache cache(64, 1);
+  eng::CoverResponse kn;
+  kn.ok = kn.found = true;
+  kn.algorithm = "construct";
+  kn.n = 149;
+  kn.cover = cov::build_optimal_cover(149);
+  const auto kn_req = make_req("construct", 149);
+  cache.insert(kn_req, kn);
+  auto entries = cache.export_entries();
+  ASSERT_EQ(entries.size(), 1u);
+  const auto kn_key = eng::canonical_request_key(kn_req);
+  EXPECT_EQ(entries[0].second.cover.cycles,
+            eng::reference::apply_element(kn.cover, kn_key.to_canonical)
+                .cycles);
+  const auto kn_hit = cache.lookup(kn_req);
+  ASSERT_TRUE(kn_hit.has_value());
+  EXPECT_EQ(kn_hit->cover.cycles, kn.cover.cycles);
+
+  ccov::util::Xoshiro256 rng(0xD1EDu);
+  const std::uint32_t n = 31;
+  for (int iter = 0; iter < 30; ++iter) {
+    cache.clear();
+    auto req = make_req("greedy", n);
+    for (int i = 0; i < 6; ++i)
+      req.demand.push_back({static_cast<std::uint32_t>(rng.below(n)),
+                            static_cast<std::uint32_t>(rng.below(n))});
+    eng::CoverResponse resp;
+    resp.ok = resp.found = true;
+    resp.algorithm = "greedy";
+    resp.n = n;
+    resp.cover.n = n;
+    for (const auto& e : req.demand)
+      resp.cover.cycles.push_back(
+          {e.u, e.v, static_cast<cov::Vertex>(rng.below(n))});
+    const auto ck = eng::canonical_request_key(req);
+    cache.insert(ck, resp);
+    entries = cache.export_entries();
+    ASSERT_EQ(entries.size(), 1u);
+    const cov::RingCover stored = entries[0].second.cover;
+    EXPECT_EQ(stored.cycles,
+              eng::reference::apply_element(resp.cover, ck.to_canonical)
+                  .cycles);
+
+    const bool reflect = rng.below(2) != 0;
+    const auto shift = static_cast<std::uint32_t>(rng.below(n));
+    auto image = make_req("greedy", n);
+    for (const auto& e : req.demand) {
+      const auto map = [&](std::uint32_t v) {
+        return ((reflect ? (n - v) % n : v) + shift) % n;
+      };
+      image.demand.push_back({map(e.u), map(e.v)});
+    }
+    const auto ck2 = eng::canonical_request_key(image);
+    ASSERT_EQ(ck2.key, ck.key);
+    const auto hit = cache.lookup(ck2);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->cover.cycles,
+              eng::reference::apply_inverse(stored, ck2.to_canonical).cycles);
   }
 }
 
@@ -1428,6 +1529,49 @@ TEST(Serve, SessionsFeedTheEngineMetricsRegistry) {
   // n=7 solves actually searched; the second session hit the cache.
   EXPECT_GT(metrics.value("ccov_solver_nodes_total"), 0);
   EXPECT_EQ(metrics.value("ccov_cache_hits_total"), 3);
+}
+
+TEST(Serve, PipelinedMetricsAnswersCountExactlyThePrecedingLines) {
+  // The reader thread runs ahead of the pipeline that answers; each
+  // `metrics` verb must still report exactly the lines before it
+  // (itself included), the same in every run.
+  std::string input;
+  std::uint64_t requests = 0, verbs = 0, errors = 0;
+  std::vector<std::array<std::uint64_t, 3>> want;
+  for (int i = 0; i < 240; ++i) {
+    if (i % 23 == 22) {
+      input += "{\"op\":\"metrics\"}\n";
+      want.push_back({requests, ++verbs, errors});
+    } else if (i % 31 == 30) {
+      input += "not json\n";
+      ++errors;
+    } else if (i % 37 == 36) {
+      input += "{\"op\":\"stats\"}\n";
+      ++verbs;
+    } else {
+      input += "{\"algo\":\"construct\",\"n\":" +
+               std::to_string(5 + i % 60) + "}\n";
+      ++requests;
+    }
+  }
+  const auto count = [](const std::string& line, const std::string& name) {
+    const std::string tag = "\"" + name + "\":";
+    const std::size_t at = line.find(tag);
+    return at == std::string::npos
+               ? std::uint64_t{0}
+               : std::stoull(line.substr(at + tag.size()));
+  };
+  for (int run = 0; run < 20; ++run) {
+    const std::string out = run_serve(input, 2, 8);
+    std::istringstream lines(out);
+    std::vector<std::array<std::uint64_t, 3>> got;
+    for (std::string line; std::getline(lines, line);)
+      if (line.find("\"op\":\"metrics\"") != std::string::npos)
+        got.push_back({count(line, "ccov_serve_requests_total"),
+                       count(line, "ccov_serve_verbs_total"),
+                       count(line, "ccov_serve_errors_total")});
+    ASSERT_EQ(got, want) << "run " << run;
+  }
 }
 
 namespace {

@@ -7,6 +7,10 @@
 /// ccov::engine::canonical_request_key must match it byte for byte, key
 /// and group element; the oracle test and the fuzz_canonical_key harness
 /// compare against it. Defined only for demands with every vertex < n.
+///
+/// apply_element/apply_inverse below are the D_n action on covers as
+/// the cache applied it before it relabelled its own copy in place: a
+/// fresh cover through covering::reflect_cover and rotate_cover.
 
 #include <algorithm>
 #include <cstdint>
@@ -14,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "ccov/covering/canonical.hpp"
 #include "ccov/engine/cache.hpp"
 
 namespace ccov::engine::reference {
@@ -65,6 +70,23 @@ inline CanonicalKey canonical_request_key(const CoverRequest& req) {
   for (const auto& [u, v] : best)
     key += " " + std::to_string(u) + "-" + std::to_string(v);
   return out;
+}
+
+inline covering::RingCover apply_element(const covering::RingCover& cover,
+                                         const DihedralElement& g) {
+  if (cover.n == 0 || (!g.reflect && g.shift % cover.n == 0)) return cover;
+  const covering::RingCover tmp =
+      g.reflect ? covering::reflect_cover(cover) : cover;
+  return covering::rotate_cover(tmp, g.shift % cover.n);
+}
+
+inline covering::RingCover apply_inverse(const covering::RingCover& cover,
+                                         const DihedralElement& g) {
+  if (cover.n == 0 || (!g.reflect && g.shift % cover.n == 0)) return cover;
+  // g = rot_s . refl^r, so g^{-1} = refl^r . rot_{-s}.
+  const covering::RingCover tmp = covering::rotate_cover(
+      cover, (cover.n - g.shift % cover.n) % cover.n);
+  return g.reflect ? covering::reflect_cover(tmp) : tmp;
 }
 
 }  // namespace ccov::engine::reference
