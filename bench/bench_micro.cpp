@@ -292,6 +292,39 @@ BENCHMARK(BM_CanonicalKey)
     ->ArgsProduct({{8, 24, 64, 128}, {30, 64, 150}, {0}})
     ->Args({64, 64, 1});
 
+// One greedy serve line with `chords` random explicit chords (u != v) on
+// n = 150, written as the load generator writes it (compact JSON), parsed
+// into a ServeCommand: the per-line cost every served request pays before
+// its key. items/s = lines/s, bytes/s = line bytes.
+static void BM_ParseServeLine(benchmark::State& state) {
+  const auto chords = static_cast<std::size_t>(state.range(0));
+  const std::uint32_t n = 150;
+  util::Xoshiro256 rng(chords + 1);
+  std::string line = R"({"algo":"greedy","n":150)";
+  if (chords != 0) {
+    line += R"(,"demand":[)";
+    for (std::size_t i = 0; i < chords;) {
+      const auto u = rng.below(n), v = rng.below(n);
+      if (u == v) continue;
+      line += (i++ ? ",[" : "[") + std::to_string(u) + "," +
+              std::to_string(v) + "]";
+    }
+    line += "]";
+  }
+  line += "}";
+  engine::ServeCommand cmd;
+  std::string error;
+  for (auto _ : state) {
+    if (!engine::parse_serve_line(line, &cmd, &error))
+      state.SkipWithError(error.c_str());
+    benchmark::DoNotOptimize(cmd.req.demand.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(
+      static_cast<std::int64_t>(state.iterations() * line.size()));
+}
+BENCHMARK(BM_ParseServeLine)->Arg(0)->Arg(24)->Arg(68)->Arg(128);
+
 // One serve response line for a K_n cover, as a construct miss renders
 // it (n = 149: 2,775 cycles, 8,325 vertices). bytes/s = response bytes.
 static void BM_RenderResponse(benchmark::State& state) {

@@ -59,3 +59,8 @@ int ccov_fuzz_solver(const std::uint8_t* data, std::size_t size);
 /// per-value JsonWriter renderer in tests/reference_render.hpp; aborts
 /// on any byte mismatch.
 int ccov_fuzz_render(const std::uint8_t* data, std::size_t size);
+
+/// engine/serve.hpp parse_serve_line — differential against the DOM
+/// parser in tests/reference_parse.hpp; aborts on any difference in the
+/// return value, error text, verb or request.
+int ccov_fuzz_serve_line(const std::uint8_t* data, std::size_t size);

@@ -12,6 +12,8 @@
 /// 64-bit words whatever the demand, and picks each cycle in
 /// O(n * ceil(n/64)) word operations.
 
+#include <span>
+
 #include "ccov/covering/cover.hpp"
 #include "ccov/graph/graph.hpp"
 
@@ -26,5 +28,13 @@ RingCover greedy_cover(std::uint32_t n);
 /// A repeated chord is covered once. Throws std::invalid_argument if the
 /// demand mentions a vertex >= n, or has a chord and n < 3.
 RingCover greedy_cover_demand(std::uint32_t n, const graph::Graph& demand);
+
+/// The same greedy over a chord list in any order, without building a
+/// Graph: a repeated chord (either orientation) is covered once. Throws
+/// std::invalid_argument with graph::Graph's text if any chord is a
+/// self-loop, else with greedy_cover_demand's if a chord mentions a
+/// vertex >= n, so a list fails as the Graph built from it would.
+RingCover greedy_cover_chords(std::uint32_t n,
+                              std::span<const graph::Edge> chords);
 
 }  // namespace ccov::covering

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -191,9 +192,17 @@ RingCover greedy_cover(std::uint32_t n) {
 }
 
 RingCover greedy_cover_demand(std::uint32_t n, const graph::Graph& demand) {
+  return greedy_cover_chords(n, demand.edges());
+}
+
+RingCover greedy_cover_chords(std::uint32_t n,
+                              std::span<const graph::Edge> chords) {
+  for (const auto& e : chords)
+    if (e.u == e.v)
+      throw std::invalid_argument("Graph: self-loops not supported");
   ChordRows uncovered(n);
   std::size_t remaining = 0;
-  for (const auto& e : demand.edges()) {
+  for (const auto& e : chords) {
     if (e.u >= n || e.v >= n)
       throw std::invalid_argument(
           "greedy_cover_demand: demand vertex out of range for ring size " +

@@ -158,6 +158,14 @@ class LineReader {
 /// Parse one JSONL line against the verb table. Returns false (and sets
 /// *error) on malformed JSON, unknown keys, out-of-domain values, or an
 /// unknown op (the error lists the valid ops); never throws.
+///
+/// A compute request in its plain shape (known fields only, unescaped
+/// strings, non-negative integers up to 2^63-1, whitespace drawn from
+/// space, tab, CR and LF) is read in one forward pass straight into
+/// cmd->req, with no JSON DOM. Any other line — a verb, an escape, an
+/// error of any kind — is declined by that pass and decided by the
+/// json::Reader DOM, so the pass accepts only what the DOM accepts, with
+/// the same request, and every error text is the DOM's.
 bool parse_serve_line(const std::string& line, ServeCommand* cmd,
                       std::string* error);
 

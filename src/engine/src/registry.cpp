@@ -81,8 +81,8 @@ constexpr Algorithm kAlgorithms[] = {
          throw std::invalid_argument("greedy: lambda != 1 is not supported");
        if (req.demand.empty())
          return AlgorithmOutcome{covering::greedy_cover(req.n)};
-       return AlgorithmOutcome{covering::greedy_cover_demand(
-           req.n, demand_graph(req.n, req.demand))};
+       return AlgorithmOutcome{
+           covering::greedy_cover_chords(req.n, req.demand)};
      },
      nullptr},
     {"lambda", "DRC-covering of lambda*K_n (--lambda copies of the optimum)",

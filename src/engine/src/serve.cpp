@@ -131,6 +131,149 @@ bool extract_request(const json::Value& obj, CoverRequest* req,
   return true;
 }
 
+/// One forward pass over a compute request in its plain shape: a flat
+/// object of the known fields, unescaped strings, non-negative integers
+/// up to 2^63-1, and whitespace drawn from space, tab, CR and LF. Fields
+/// are written straight into the request in line order, as
+/// extract_request applies them (a later `n` wins, a second `demand`
+/// appends). Anything else makes scan() return false — it declines
+/// rather than reports, and json::Reader + extract_request then decide
+/// the line, so every accepted request and every error text is theirs.
+class RequestScanner {
+ public:
+  explicit RequestScanner(std::string_view line)
+      : p_(line.data()), end_(p_ + line.size()) {}
+
+  bool scan(CoverRequest* req) {
+    if (!eat('{')) return false;
+    bool have_algo = false, have_n = false;
+    do {
+      std::string_view key;
+      if (!string(&key) || !eat(':') || !field(key, req, &have_algo, &have_n))
+        return false;
+    } while (eat(','));
+    if (!eat('}')) return false;
+    skip_ws();
+    return p_ == end_ && have_algo && have_n;
+  }
+
+ private:
+  void skip_ws() {
+    while (p_ != end_ &&
+           (*p_ == ' ' || *p_ == '\t' || *p_ == '\n' || *p_ == '\r'))
+      ++p_;
+  }
+
+  bool eat(char c) {
+    skip_ws();
+    if (p_ == end_ || *p_ != c) return false;
+    ++p_;
+    return true;
+  }
+
+  /// A quoted string without escapes, as the bytes between the quotes.
+  bool string(std::string_view* out) {
+    if (!eat('"')) return false;
+    const char* start = p_;
+    while (p_ != end_ && *p_ != '"') {
+      if (*p_ == '\\') return false;
+      ++p_;
+    }
+    if (p_ == end_) return false;
+    *out = std::string_view(start, static_cast<std::size_t>(p_ - start));
+    ++p_;
+    return true;
+  }
+
+  /// Digits only (no sign), at most `max`. Leading zeros are fine, as
+  /// with strtoll; a value past 2^63-1 declines, since the DOM reader
+  /// rejects it whatever the field.
+  bool integer(std::uint64_t max, std::uint64_t* out) {
+    skip_ws();
+    constexpr std::uint64_t kMax = std::numeric_limits<std::int64_t>::max();
+    const char* start = p_;
+    std::uint64_t v = 0;
+    for (; p_ != end_ && *p_ >= '0' && *p_ <= '9'; ++p_) {
+      const auto d = static_cast<std::uint64_t>(*p_ - '0');
+      if (v > (kMax - d) / 10) return false;
+      v = v * 10 + d;
+    }
+    if (p_ == start || v > max) return false;
+    *out = v;
+    return true;
+  }
+
+  bool integer32(std::uint32_t* out) {
+    std::uint64_t v = 0;
+    if (!integer(std::numeric_limits<std::uint32_t>::max(), &v)) return false;
+    *out = static_cast<std::uint32_t>(v);
+    return true;
+  }
+
+  bool boolean(bool* out) {
+    skip_ws();
+    const std::string_view rest(p_, static_cast<std::size_t>(end_ - p_));
+    for (const bool v : {true, false}) {
+      const std::string_view word = v ? "true" : "false";
+      if (rest.starts_with(word)) {
+        p_ += word.size();
+        *out = v;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// `[[u,v],...]`, appended in order, repeats kept.
+  bool demand(std::vector<graph::Edge>* out) {
+    if (!eat('[')) return false;
+    if (eat(']')) return true;
+    do {
+      graph::Edge e{};
+      if (!eat('[') || !integer32(&e.u) || !eat(',') || !integer32(&e.v) ||
+          !eat(']'))
+        return false;
+      out->push_back(e);
+    } while (eat(','));
+    return eat(']');
+  }
+
+  bool field(std::string_view key, CoverRequest* req, bool* have_algo,
+             bool* have_n) {
+    constexpr std::uint64_t kU64 = std::numeric_limits<std::uint64_t>::max();
+    if (key == "algo" || key == "algorithm") {
+      std::string_view algo;
+      if (!string(&algo)) return false;
+      req->algorithm = algo;
+      *have_algo = true;
+      return true;
+    }
+    if (key == "n") {
+      *have_n = true;
+      return integer32(&req->n);
+    }
+    if (key == "budget") return integer(kU64, &req->budget);
+    if (key == "lambda") return integer32(&req->lambda);
+    if (key == "threads") {
+      std::uint64_t u = 0;
+      if (!integer(4096, &u)) return false;
+      req->threads = static_cast<std::size_t>(u);
+      return true;
+    }
+    if (key == "max_nodes") return integer(kU64, &req->solver.max_nodes);
+    if (key == "max_cycle_len") return integer32(&req->solver.max_cycle_len);
+    if (key == "deadline_ms")
+      return integer(std::numeric_limits<std::uint32_t>::max(),
+                     &req->deadline_ms);
+    if (key == "validate") return boolean(&req->validate);
+    if (key == "demand") return demand(&req->demand);
+    return false;  // unknown fields and "op" are the DOM path's to report
+  }
+
+  const char* p_;
+  const char* end_;
+};
+
 // ---------------------------------------------------------------------------
 // Control-verb table
 // ---------------------------------------------------------------------------
@@ -233,6 +376,12 @@ const ServeVerbRegistry& ServeVerbRegistry::global() {
 bool parse_serve_line(const std::string& line, ServeCommand* cmd,
                       std::string* error) {
   error->clear();
+  CoverRequest req;
+  if (RequestScanner(line).scan(&req)) {
+    cmd->verb = nullptr;
+    cmd->req = std::move(req);
+    return true;
+  }
   json::Value root;
   json::Reader reader(line);
   if (!reader.parse(&root, error)) return false;

@@ -30,6 +30,7 @@
 #include "ccov/util/failpoint.hpp"
 #include "ccov/util/prng.hpp"
 #include "reference_canonical_key.hpp"
+#include "reference_parse.hpp"
 
 namespace eng = ccov::engine;
 namespace cov = ccov::covering;
@@ -1179,6 +1180,207 @@ TEST(Serve, RejectsMalformedLines) {
                             &error));
 }
 
+// ---------------------------------------------------------------------------
+// parse_serve_line against the DOM parser it replaced (reference_parse.hpp)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// parse_serve_line must decide `line` exactly as the DOM parser does:
+/// return value, error text, verb and every request field.
+void expect_parses_as_reference(const std::string& line) {
+  EXPECT_EQ(eng::reference::parse_outcome(eng::parse_serve_line, line),
+            eng::reference::parse_outcome(eng::reference::parse_serve_line,
+                                          line))
+      << "line: " << line;
+}
+
+/// Every field of the protocol, as `"key":value`.
+const std::vector<std::string> kEveryField = {
+    R"("algo":"solve")",         R"("n":8)",
+    R"("budget":10)",            R"("lambda":2)",
+    R"("threads":3)",            R"("max_nodes":1000)",
+    R"("max_cycle_len":3)",      R"("deadline_ms":250)",
+    R"("validate":false)",       R"("demand":[[0,3],[1,4],[0,3]])",
+};
+
+std::string object_of(const std::vector<std::string>& fields) {
+  std::string line = "{";
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    line += (i ? "," : "") + fields[i];
+  return line + "}";
+}
+
+}  // namespace
+
+TEST(ServeParse, EveryFieldInEveryPositionMatchesTheReference) {
+  // Each field at each position (all rotations, forwards and backwards),
+  // and every order of six of them.
+  std::vector<std::string> fields = kEveryField;
+  for (int dir = 0; dir < 2; ++dir) {
+    for (std::size_t r = 0; r < fields.size(); ++r) {
+      expect_parses_as_reference(object_of(fields));
+      std::rotate(fields.begin(), fields.begin() + 1, fields.end());
+    }
+    std::reverse(fields.begin(), fields.end());
+  }
+  std::vector<std::string> six(kEveryField.begin(), kEveryField.begin() + 6);
+  std::sort(six.begin(), six.end());
+  do {
+    expect_parses_as_reference(object_of(six));
+  } while (std::next_permutation(six.begin(), six.end()));
+
+  // And the values themselves, not only agreement.
+  eng::ServeCommand cmd;
+  std::string error = "stale";
+  ASSERT_TRUE(eng::parse_serve_line(object_of(kEveryField), &cmd, &error));
+  EXPECT_EQ(error, "");
+  EXPECT_TRUE(cmd.is_request());
+  EXPECT_EQ(cmd.req.algorithm, "solve");
+  EXPECT_EQ(cmd.req.n, 8u);
+  EXPECT_EQ(cmd.req.budget, 10u);
+  EXPECT_EQ(cmd.req.lambda, 2u);
+  EXPECT_EQ(cmd.req.threads, 3u);
+  EXPECT_EQ(cmd.req.solver.max_nodes, 1000u);
+  EXPECT_EQ(cmd.req.solver.max_cycle_len, 3u);
+  EXPECT_EQ(cmd.req.deadline_ms, 250u);
+  EXPECT_FALSE(cmd.req.validate);
+  EXPECT_EQ(cmd.req.demand,
+            (std::vector<ccov::graph::Edge>{{0, 3}, {1, 4}, {0, 3}}));
+}
+
+TEST(ServeParse, WhitespaceAnywhereMatchesTheReference) {
+  // Every whitespace byte the DOM reader skips, and one it does not,
+  // inserted at every offset: between tokens, and inside strings and
+  // numbers, where it changes the value or breaks it.
+  const std::string line = object_of(kEveryField);
+  for (const char ws : {' ', '\t', '\r', '\n', '\v', '\f', '\0'})
+    for (std::size_t at = 0; at <= line.size(); ++at)
+      expect_parses_as_reference(line.substr(0, at) + ws + line.substr(at));
+  expect_parses_as_reference(" \t{ \"algo\" : \"greedy\" , \"n\" : 9 ,"
+                             " \"demand\" : [ [ 0 , 4 ] , [ 1 , 5 ] ] } \r\n");
+}
+
+TEST(ServeParse, RepeatedFieldsApplyInOrder) {
+  for (const char* line : {
+           R"({"algo":"greedy","n":9,"n":12})",
+           R"({"algo":"solve","algo":"greedy","n":9})",
+           R"({"algo":"solve","algorithm":"greedy","n":9})",
+           R"({"algorithm":"greedy","n":9})",
+           R"({"algo":"greedy","n":9,"demand":[[0,2]],"demand":[[1,3],[0,2]]})",
+           R"({"algo":"greedy","n":9,"demand":[],"demand":[[1,3]]})",
+           R"({"algo":"greedy","n":9,"validate":true,"validate":false})",
+       })
+    expect_parses_as_reference(line);
+  eng::ServeCommand cmd;
+  std::string error;
+  ASSERT_TRUE(eng::parse_serve_line(
+      R"({"algo":"greedy","n":9,"demand":[[0,2]],"n":12,"demand":[[1,3]]})",
+      &cmd, &error));
+  EXPECT_EQ(cmd.req.n, 12u);
+  EXPECT_EQ(cmd.req.demand, (std::vector<ccov::graph::Edge>{{0, 2}, {1, 3}}));
+}
+
+TEST(ServeParse, NumbersMatchTheReference) {
+  for (const char* value :
+       {"-0", "-1", "0", "00", "007", "0009223372036854775807",
+        "9223372036854775807", "9223372036854775808",
+        "18446744073709551615", "18446744073709551616",
+        "99999999999999999999999", "4294967295", "4294967296", "4096",
+        "4097", "1.5", "1e3", "1E3", "+1", "0x10", "-", "true", "null",
+        "\"9\"", "[9]", "9a"})
+    for (const char* key : {"n", "budget", "lambda", "threads", "max_nodes",
+                            "max_cycle_len", "deadline_ms"}) {
+      expect_parses_as_reference(std::string(R"({"algo":"solve","n":9,")") +
+                                 key + "\":" + value + "}");
+      expect_parses_as_reference(
+          std::string(R"({"algo":"greedy","n":9,"demand":[[1,)") + value +
+          "]]}");
+    }
+  // The largest max_nodes the protocol takes, and one past it.
+  eng::ServeCommand cmd;
+  std::string error;
+  ASSERT_TRUE(eng::parse_serve_line(
+      R"({"algo":"solve","n":9,"max_nodes":9223372036854775807})", &cmd,
+      &error));
+  EXPECT_EQ(cmd.req.solver.max_nodes, 9223372036854775807u);
+  EXPECT_FALSE(eng::parse_serve_line(
+      R"({"algo":"solve","n":9,"max_nodes":9223372036854775808})", &cmd,
+      &error));
+  EXPECT_EQ(error, "integer out of range");
+}
+
+TEST(ServeParse, DeclinedShapesGetTheReferenceAnswer) {
+  const std::string full =
+      R"({"algo":"greedy","n":9,"demand":[[0,4],[1,5]],"validate":true})";
+  for (const std::string& line : std::vector<std::string>{
+           // escapes, in values and keys
+           R"({"algo":"greedy","n":9})",
+           R"({"algo":"gr\"eedy","n":9})",
+           R"({"algo":"a\\b\/c\n","n":9})",
+           R"({"al\go":"greedy","n":9})",
+           R"({"n\/":9,"algo":"greedy"})",
+           // an op next to request fields, first or last
+           R"({"algo":"greedy","n":9,"op":"stats"})",
+           R"({"op":"stats","algo":"greedy","n":9})",
+           R"({"op":"stats"})",
+           R"({"op":"frobnicate"})",
+           R"({"op":7})",
+           // demands
+           R"({"algo":"greedy","n":9,"demand":[]})",
+           R"({"algo":"greedy","n":9,"demand":[ ]})",
+           R"({"algo":"greedy","n":9,"demand":[[]]})",
+           R"({"algo":"greedy","n":9,"demand":[[1]]})",
+           R"({"algo":"greedy","n":9,"demand":[[1,2,3]]})",
+           R"({"algo":"greedy","n":9,"demand":[[1,2],]})",
+           R"({"algo":"greedy","n":9,"demand":[1,2]})",
+           R"({"algo":"greedy","n":9,"demand":{}})",
+           R"({"algo":"greedy","n":9,"demand":[[[1],2]]})",
+           // wrong types and shapes
+           R"({"algo":9,"n":9})",
+           R"({"algo":"greedy","n":9,"validate":1})",
+           R"({"algo":"greedy","n":9,"validate":tru})",
+           R"({"algo":"greedy","n":9,"validate":truex})",
+           R"({"algo":"greedy","n":9,"validate":fals})",
+           R"({"algo":"greedy","n":9,"validate":f})",
+           R"({"algo":"greedy","n":9,"bogus":1})",
+           R"({"algo":"greedy"})",
+           R"({"n":9})",
+           R"({})",
+           R"({"algo":"greedy","n":9,})",
+           R"({,"algo":"greedy","n":9})",
+           R"({"algo""greedy","n":9})",
+           R"([{"algo":"greedy","n":9}])",
+           R"("algo")",
+           "",
+           "{",
+           // trailing garbage
+           full + "x",
+           full + "}",
+           full + " ,",
+           full + "\v",
+           full + " " + full,
+       })
+    expect_parses_as_reference(line);
+  // Every truncation of a full line.
+  for (std::size_t len = 0; len < full.size(); ++len)
+    expect_parses_as_reference(full.substr(0, len));
+}
+
+TEST(ServeParse, DeclineLeavesNoPartialRequestBehind) {
+  // The scan writes fields as it meets them; a line it declines must
+  // still leave the command exactly as the DOM path leaves it (a verb
+  // line does not touch the request).
+  eng::ServeCommand cmd;
+  std::string error;
+  cmd.req.algorithm = "before";
+  EXPECT_FALSE(eng::parse_serve_line(R"({"algo":"greedy","n":9,"op":"x"})",
+                                     &cmd, &error));
+  EXPECT_EQ(cmd.req.algorithm, "before");
+  ASSERT_TRUE(eng::parse_serve_line(R"({"op":"stats"})", &cmd, &error));
+  EXPECT_EQ(cmd.req.algorithm, "before");
+}
+
 namespace {
 
 std::string run_serve(const std::string& input, std::size_t jobs,
@@ -1250,6 +1452,28 @@ TEST(Engine, OutOfRangeDemandIsAnsweredTheSameColdAndWarm) {
   // The key of a non-ring demand never equals a ring key.
   EXPECT_NE(eng::canonical_request_key(req).key,
             eng::canonical_request_key(in_range).key);
+}
+
+TEST(Engine, GreedyDemandErrorsKeepTheirTexts) {
+  // The greedy reads the demand list itself, without a demand Graph, and
+  // answers bad chords with the texts building that Graph gave: any
+  // self-loop first, then any vertex off the ring, however far off.
+  eng::Engine engine;
+  const auto error_of = [&](std::vector<ccov::graph::Edge> demand) {
+    auto req = make_req("greedy", 30);
+    req.demand = std::move(demand);
+    const eng::CoverResponse resp = engine.run(req);
+    EXPECT_FALSE(resp.ok);
+    return resp.error;
+  };
+  const std::string loop = "Graph: self-loops not supported";
+  const std::string range =
+      "greedy_cover_demand: demand vertex out of range for ring size 30";
+  EXPECT_EQ(error_of({{0, 5}, {7, 7}}), loop);
+  EXPECT_EQ(error_of({{0, 35}, {7, 7}}), loop);
+  EXPECT_EQ(error_of({{0, 5}, {0, 35}}), range);
+  EXPECT_EQ(error_of({{4294967295u, 1}}), range);
+  EXPECT_EQ(engine.cache().size(), 0u);
 }
 
 TEST(Engine, RepeatedDemandChordIsDemandedOnce) {

@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "ccov/covering/bounds.hpp"
 #include "ccov/covering/greedy.hpp"
@@ -158,4 +159,47 @@ TEST(GreedyDemand, ChordOnRingOfTwoThrows) {
   EXPECT_THROW(greedy_cover_demand(2, demand), std::invalid_argument);
   EXPECT_THROW(greedy_cover(2), std::invalid_argument);
   EXPECT_EQ(greedy_cover(1).size(), 0u);
+}
+
+TEST(GreedyChords, ListMatchesTheGraphGreedyInAnyOrderWithRepeats) {
+  // The chord list in its given order, both orientations and repeats
+  // included, must give the cover of the Graph holding each chord once
+  // (the demand Graph the engine used to build), and the same errors.
+  ccov::util::Xoshiro256 rng(29);
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<std::uint32_t>(3 + rng.below(150));
+    std::vector<ccov::graph::Edge> chords;
+    ccov::graph::Graph demand(n);
+    const auto count = rng.below(200);
+    for (std::uint64_t k = 0; k < count; ++k) {
+      const auto u = static_cast<Vertex>(rng.below(n));
+      const auto v = static_cast<Vertex>(rng.below(n));
+      if (u == v) continue;
+      chords.push_back({u, v});
+      if (rng.below(4) == 0) chords.push_back({v, u});
+      if (!demand.has_edge(u, v)) demand.add_edge(u, v);
+    }
+    ASSERT_EQ(to_string(greedy_cover_chords(n, chords)),
+              to_string(greedy_cover_demand(n, demand)))
+        << "trial " << trial << " n " << n;
+  }
+  EXPECT_EQ(greedy_cover_chords(8, {}).size(), 0u);
+
+  const auto message = [](std::vector<ccov::graph::Edge> chords) {
+    try {
+      greedy_cover_chords(10, chords);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no throw");
+  };
+  const std::string loop = "Graph: self-loops not supported";
+  const std::string range =
+      "greedy_cover_demand: demand vertex out of range for ring size 10";
+  EXPECT_EQ(message({{0, 1}, {3, 3}}), loop);
+  // A self-loop is reported ahead of an earlier vertex off the ring, as
+  // building the Graph reported it before the greedy saw any chord.
+  EXPECT_EQ(message({{0, 4000000000u}, {3, 3}}), loop);
+  EXPECT_EQ(message({{0, 1}, {0, 10}}), range);
+  EXPECT_EQ(message({{4294967295u, 0}}), range);
 }
