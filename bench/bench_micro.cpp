@@ -7,6 +7,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <istream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -28,6 +29,7 @@
 #include "ccov/protection/simulator.hpp"
 #include "ccov/util/prng.hpp"
 #include "ccov/wdm/network.hpp"
+#include "churn_store.hpp"
 
 using namespace ccov;
 
@@ -359,6 +361,43 @@ static void BM_EngineMissConstruct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineMissConstruct)->Arg(149)->Arg(150);
+
+// A deep copy of a K_n cover, as the cache takes one per insert and per
+// remapped hit (n = 77: 741 cycles; n = 150: 2,850).
+static void BM_CoverCopy(benchmark::State& state) {
+  const auto cover = covering::build_optimal_cover(
+      static_cast<std::uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    covering::RingCover copy = cover;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_CoverCopy)->Arg(77)->Arg(150);
+
+// Reads a string in place, so the timed loop decodes without copying it.
+struct StringViewBuf : std::streambuf {
+  explicit StringViewBuf(const std::string& s) {
+    char* p = const_cast<char*>(s.data());
+    setg(p, p, p + s.size());
+  }
+};
+
+// Warm start of a churn-shaped store (tests/churn_store.hpp: 500 small
+// demand covers and the K_n covers of n = 81..150, 640 entries, about
+// 250k cycles and 5 MB) from an in-memory stream into an empty cache,
+// which is destroyed inside the loop too. bytes/s = snapshot bytes.
+static void BM_SnapshotLoad(benchmark::State& state) {
+  const std::string bytes = engine::fixtures::churn_store_bytes();
+  for (auto _ : state) {
+    engine::CoverCache cache(1024);
+    StringViewBuf buf(bytes);
+    std::istream in(&buf);
+    benchmark::DoNotOptimize(engine::load_snapshot(in, cache));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond);
 
 static void BM_LoopbackSimulation(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));

@@ -20,7 +20,7 @@ int main(int argc, char** argv) try {
 
   const RingCover cover = build_optimal_cover(n);
   std::cout << summary(cover) << "\n\ncycles:\n";
-  for (const auto& c : cover.cycles) std::cout << "  " << to_string(c) << "\n";
+  for (const auto c : cover.cycles()) std::cout << "  " << to_string(c) << "\n";
 
   const auto rep = validate_cover(cover);
   std::cout << "\nvalidation: " << (rep.ok ? "OK" : rep.error)

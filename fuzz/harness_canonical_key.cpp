@@ -38,13 +38,12 @@ int ccov_fuzz_canonical_key(const std::uint8_t* data, std::size_t size) {
   // must undo it exactly, vertex for vertex.
   ccov::covering::RingCover cover;
   cover.n = req.n;
-  for (const auto& e : req.demand) cover.cycles.push_back({e.u, e.v});
+  for (const auto& e : req.demand) cover.add(ccov::covering::Cycle{e.u, e.v});
   ccov::covering::RingCover moved = cover;
   eng::apply_element(&moved, fast.to_canonical);
-  if (moved.cycles !=
-      eng::reference::apply_element(cover, fast.to_canonical).cycles)
+  if (moved != eng::reference::apply_element(cover, fast.to_canonical))
     std::abort();
   eng::apply_inverse(&moved, fast.to_canonical);
-  if (moved.cycles != cover.cycles) std::abort();
+  if (moved != cover) std::abort();
   return 0;
 }

@@ -47,8 +47,9 @@ int ccov_fuzz_render(const std::uint8_t* data, std::size_t size) {
     r.error.assign(p, end);
   } else {
     r.cover.n = r.n;
+    ccov::covering::Cycle c;
     while (p < end) {
-      ccov::covering::Cycle& c = r.cover.cycles.emplace_back();
+      c.clear();
       for (std::size_t len = *p++ % 10; len > 0 && p < end; --len) {
         if (!(*p & 0x80)) {
           c.push_back(*p++);
@@ -59,6 +60,7 @@ int ccov_fuzz_render(const std::uint8_t* data, std::size_t size) {
           p = end;
         }
       }
+      r.cover.add(c);
     }
   }
   if (eng::serve_response_line(r.nodes, r) !=

@@ -33,7 +33,7 @@ int ccov_fuzz_validate_cover(const std::uint8_t* data, std::size_t size) {
     cov::Cycle c;
     for (std::size_t j = 0; j < len && i < size; ++j)
       c.push_back(data[i++] % span);
-    cover.cycles.push_back(std::move(c));
+    cover.add(c);
   }
 
   if (!(flags & 2)) {

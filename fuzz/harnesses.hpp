@@ -20,7 +20,9 @@
 /// util/json.hpp Reader — the JSONL serve protocol's parser.
 int ccov_fuzz_json(const std::uint8_t* data, std::size_t size);
 
-/// engine snapshot load (store.cpp) — the --cache-file warm-start path.
+/// engine snapshot load (store.cpp) — the --cache-file warm-start path —
+/// differential against the per-field istream decoder it replaced
+/// (tests/reference_store.hpp).
 int ccov_fuzz_snapshot(const std::uint8_t* data, std::size_t size);
 
 /// HTTP/1.1 request-head parser (http.hpp find_head_end + parse_head).

@@ -5,7 +5,6 @@
 /// We provide the degree/counting lower bound and a greedy construction.
 
 #include <cstdint>
-#include <vector>
 
 #include "ccov/covering/cover.hpp"
 
@@ -18,6 +17,6 @@ std::uint64_t c4_covering_lower_bound(std::uint32_t n);
 
 /// Greedy covering of K_n by C4s (a trailing triangle may be needed when
 /// fewer than 4 fresh-edge vertices remain; it is counted like a cycle).
-std::vector<covering::Cycle> greedy_c4_cover(std::uint32_t n);
+covering::RingCover greedy_c4_cover(std::uint32_t n);
 
 }  // namespace ccov::baselines

@@ -7,7 +7,6 @@
 /// construction, so the benchmark tables can show what the DRC costs.
 
 #include <cstdint>
-#include <vector>
 
 #include "ccov/covering/cover.hpp"
 
@@ -19,11 +18,10 @@ std::uint64_t triple_covering_number(std::uint32_t n);
 
 /// Greedy triangle covering of K_n (ignores routing entirely). Returned
 /// cycles generally violate the DRC — that is the point of the baseline.
-std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n);
+covering::RingCover greedy_triple_cover(std::uint32_t n);
 
 /// How many cycles of a covering satisfy the DRC on C_n (used to report
 /// how un-deployable the classical covering is on a ring).
-std::size_t count_drc_feasible(std::uint32_t n,
-                               const std::vector<covering::Cycle>& cycles);
+std::size_t count_drc_feasible(const covering::RingCover& cover);
 
 }  // namespace ccov::baselines

@@ -17,7 +17,7 @@ std::uint64_t c4_covering_lower_bound(std::uint32_t n) {
   return std::max(edges_bound, vertex_bound);
 }
 
-std::vector<covering::Cycle> greedy_c4_cover(std::uint32_t n) {
+covering::RingCover greedy_c4_cover(std::uint32_t n) {
   using covering::Vertex;
   std::set<std::pair<Vertex, Vertex>> uncovered;
   for (Vertex a = 0; a < n; ++a)
@@ -29,7 +29,7 @@ std::vector<covering::Cycle> greedy_c4_cover(std::uint32_t n) {
     uncovered.erase({std::min(u, v), std::max(u, v)});
   };
 
-  std::vector<covering::Cycle> out;
+  covering::RingCover out(n);
   while (!uncovered.empty()) {
     const auto [a, b] = *uncovered.begin();
     // Choose c, d maximizing fresh edges of the 4-cycle (a, b, c, d).
@@ -48,12 +48,11 @@ std::vector<covering::Cycle> greedy_c4_cover(std::uint32_t n) {
         }
       }
     }
-    covering::Cycle quad{a, b, bc, bd};
     erase(a, b);
     erase(b, bc);
     erase(bc, bd);
     erase(bd, a);
-    out.push_back(std::move(quad));
+    out.add(a, b, bc, bd);
   }
   return out;
 }

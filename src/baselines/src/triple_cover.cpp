@@ -15,7 +15,7 @@ std::uint64_t triple_covering_number(std::uint32_t n) {
   return util::ceil_div<std::uint64_t>(N * per_vertex, 3);
 }
 
-std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n) {
+covering::RingCover greedy_triple_cover(std::uint32_t n) {
   using covering::Vertex;
   covering::ChordBitset uncovered(n);
   uncovered.set_all_chords();
@@ -23,7 +23,7 @@ std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n) {
     return u < v ? uncovered.test(u, v) : uncovered.test(v, u);
   };
 
-  std::vector<covering::Cycle> out;
+  covering::RingCover out(n);
   Vertex a = 0, b = 0;
   while (uncovered.first(a, b)) {
     // Pick the third vertex completing the most uncovered pairs.
@@ -37,19 +37,18 @@ std::vector<covering::Cycle> greedy_triple_cover(std::uint32_t n) {
         best = w;
       }
     }
-    covering::Cycle tri{a, b, best};
+    const covering::SmallCycle tri(a, b, best);
     covering::for_each_chord(
         tri, [&](Vertex u, Vertex v) { uncovered.clear(u, v); });
-    out.push_back(std::move(tri));
+    out.add(tri.view());
   }
   return out;
 }
 
-std::size_t count_drc_feasible(std::uint32_t n,
-                               const std::vector<covering::Cycle>& cycles) {
-  const ring::Ring r(n);
+std::size_t count_drc_feasible(const covering::RingCover& cover) {
+  const ring::Ring r(cover.n);
   std::size_t ok = 0;
-  for (const auto& c : cycles)
+  for (const auto c : cover.cycles())
     if (covering::satisfies_drc(r, c)) ++ok;
   return ok;
 }

@@ -36,21 +36,21 @@ int drc_winding(std::uint32_t n, std::span<const Vertex> c);
 
 /// True when the cycle's vertices appear in circular order (clockwise or
 /// counterclockwise) around the ring — i.e. the DRC is satisfiable.
-bool is_circularly_ordered(const ring::Ring& r, const Cycle& c);
+bool is_circularly_ordered(const ring::Ring& r, std::span<const Vertex> c);
 
 /// Equivalent to is_circularly_ordered (named after the paper's property).
-inline bool satisfies_drc(const ring::Ring& r, const Cycle& c) {
+inline bool satisfies_drc(const ring::Ring& r, std::span<const Vertex> c) {
   return is_circularly_ordered(r, c);
 }
 
 /// The edge-disjoint routing (one arc per logical edge, in cycle order),
 /// or nullopt when the DRC fails. The returned arcs tile the ring exactly.
 std::optional<std::vector<ring::Arc>> drc_route(const ring::Ring& r,
-                                                const Cycle& c);
+                                                std::span<const Vertex> c);
 
 /// Brute-force DRC oracle: tries all 2^k orientation assignments and checks
 /// pairwise edge-disjointness. Exponential; used only to validate the O(k)
 /// characterisation in tests (k <= ~20).
-bool satisfies_drc_bruteforce(const ring::Ring& r, const Cycle& c);
+bool satisfies_drc_bruteforce(const ring::Ring& r, std::span<const Vertex> c);
 
 }  // namespace ccov::covering

@@ -10,23 +10,16 @@ namespace {
 
 std::vector<Cycle> normalized_cycles(const RingCover& cover) {
   std::vector<Cycle> cs;
-  cs.reserve(cover.cycles.size());
-  for (const Cycle& c : cover.cycles) cs.push_back(canonical(c));
+  cs.reserve(cover.size());
+  for (const auto c : cover.cycles()) cs.push_back(canonical(c));
   std::sort(cs.begin(), cs.end());
   return cs;
 }
 
 RingCover map_cover(const RingCover& cover,
                     const std::function<Vertex(Vertex)>& f) {
-  RingCover out;
-  out.n = cover.n;
-  out.cycles.reserve(cover.cycles.size());
-  for (const Cycle& c : cover.cycles) {
-    Cycle m;
-    m.reserve(c.size());
-    for (Vertex v : c) m.push_back(f(v));
-    out.cycles.push_back(std::move(m));
-  }
+  RingCover out = cover;
+  for (Vertex& v : out.verts) v = f(v);
   return out;
 }
 
@@ -46,8 +39,6 @@ RingCover reflect_cover(const RingCover& cover) {
 }
 
 RingCover canonical_cover(const RingCover& cover) {
-  RingCover best;
-  best.n = cover.n;
   std::vector<Cycle> best_cycles;
   for (int refl = 0; refl < 2; ++refl) {
     const RingCover base = refl ? reflect_cover(cover) : cover;
@@ -56,13 +47,14 @@ RingCover canonical_cover(const RingCover& cover) {
       if (best_cycles.empty() || cs < best_cycles) best_cycles = std::move(cs);
     }
   }
-  best.cycles = std::move(best_cycles);
+  RingCover best(cover.n);
+  for (const Cycle& c : best_cycles) best.add(c);
   return best;
 }
 
 bool covers_isomorphic(const RingCover& a, const RingCover& b) {
-  if (a.n != b.n || a.cycles.size() != b.cycles.size()) return false;
-  return canonical_cover(a).cycles == canonical_cover(b).cycles;
+  if (a.n != b.n || a.size() != b.size()) return false;
+  return canonical_cover(a) == canonical_cover(b);
 }
 
 std::size_t orbit_size(const RingCover& cover) {

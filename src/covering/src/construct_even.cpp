@@ -20,9 +20,9 @@ Vertex relabel_after_insert(Vertex old, std::uint32_t eA, std::uint32_t eB) {
 /// The circularly ordered cycle on a vertex set is unique: append it
 /// sorted ascending, sorting on the stack rather than in a temporary.
 template <std::size_t K>
-void push_sorted(std::vector<Cycle>& cycles, std::array<Vertex, K> vs) {
+void push_sorted(RingCover& cover, std::array<Vertex, K> vs) {
   std::sort(vs.begin(), vs.end());
-  cycles.emplace_back(vs.begin(), vs.end());
+  cover.add(vs);
 }
 
 /// Hand-verified optimal base coverings.
@@ -72,15 +72,15 @@ void even_step(RingCover& cover, std::uint32_t m) {
   const Vertex p = m / 2;
   const std::uint32_t eA = p - 2;  // v inserted here -> label p-1
   const std::uint32_t eB = m - 3;  // u inserted here -> label 2p-1
-  for (Cycle& c : cover.cycles)
-    for (Vertex& x : c) x = relabel_after_insert(x, eA, eB);
+  for (Vertex& x : cover.verts) x = relabel_after_insert(x, eA, eB);
   const Vertex v = p - 1;
   const Vertex u = static_cast<Vertex>(m - 1);
 
+  cover.reserve(p, 4 * std::size_t{p});
   for (Vertex i = 0; i + 3 <= p; ++i)  // i = 0..p-3
-    cover.cycles.push_back({i, v, static_cast<Vertex>(p + i), u});
-  push_sorted<3>(cover.cycles, {static_cast<Vertex>(p - 2), v, u});
-  push_sorted<3>(cover.cycles, {v, static_cast<Vertex>(m - 2), u});
+    cover.add(i, v, static_cast<Vertex>(p + i), u);
+  push_sorted<3>(cover, {static_cast<Vertex>(p - 2), v, u});
+  push_sorted<3>(cover, {v, static_cast<Vertex>(m - 2), u});
   cover.n = m;
 }
 
@@ -103,22 +103,21 @@ RingCover fallback_even(std::uint32_t n) {
   const Vertex p = n / 2;
   const bool self_paired = p % 2 == 0 && p / 2 >= 2;
   const std::size_t pair_classes = (p - 1) / 2 - 1;  // d = 2..(p-1)/2, p >= 3
-  RingCover cover;
-  cover.n = n;
-  cover.cycles.reserve(std::size_t{p} * (2 + pair_classes) +
-                       (self_paired ? p / 2 : 0));
+  const std::size_t quads =
+      std::size_t{p} * (1 + pair_classes) + (self_paired ? p / 2 : 0);
+  RingCover cover(n);
+  cover.reserve(p + quads, 3 * std::size_t{p} + 4 * quads);
   auto at = [n](std::uint32_t v) { return static_cast<Vertex>(v % n); };
-  std::vector<Cycle>& out = cover.cycles;
   for (Vertex x = 0; x < p; ++x)
-    push_sorted<3>(out, {at(x), at(x + 1), at(x + p)});
+    push_sorted<3>(cover, {at(x), at(x + 1), at(x + p)});
   for (Vertex a = p; a < 2 * p; ++a)
-    push_sorted<4>(out, {at(a), at(a + 1), at(a + p), at(a + p + 1)});
+    push_sorted<4>(cover, {at(a), at(a + 1), at(a + p), at(a + p + 1)});
   for (Vertex d = 2; d < p - d; ++d)
     for (Vertex x = 0; x < p; ++x)
-      push_sorted<4>(out, {at(x), at(x + d), at(x + p), at(x + p + d)});
+      push_sorted<4>(cover, {at(x), at(x + d), at(x + p), at(x + p + d)});
   if (self_paired)
     for (Vertex x = 0; x < p / 2; ++x)
-      push_sorted<4>(out,
+      push_sorted<4>(cover,
                      {at(x), at(x + p / 2), at(x + p), at(x + p + p / 2)});
   return cover;
 }

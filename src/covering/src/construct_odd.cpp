@@ -31,15 +31,14 @@ RingCover construct_odd_cover(std::uint32_t n) {
     throw std::invalid_argument("construct_odd_cover: odd n >= 3 required");
 
   const Vertex P = (n - 1) / 2;
-  RingCover cover;
-  cover.n = n;
-  cover.cycles.reserve(std::size_t{P} * (P + 1) / 2);
-  cover.cycles.push_back({P - 1, 2 * P - 1, 2 * P});
+  RingCover cover(n);
+  // P C3 and P(P-1)/2 C4: rho(n) cycles, 2P(P+1) vertices.
+  cover.reserve(std::size_t{P} * (P + 1) / 2, 2 * std::size_t{P} * (P + 1));
+  cover.add(P - 1, 2 * P - 1, 2 * P);
   for (Vertex p = 2; p <= P; ++p) {
     const Vertex d = P - p;
-    for (Vertex i = 1; i < p; ++i)
-      cover.cycles.push_back({d, d + i, d + P, d + P + i});
-    cover.cycles.push_back({d, d + P, 2 * P});
+    for (Vertex i = 1; i < p; ++i) cover.add(d, d + i, d + P, d + P + i);
+    cover.add(d, d + P, 2 * P);
   }
   return cover;
 }

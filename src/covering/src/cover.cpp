@@ -1,31 +1,57 @@
 #include "ccov/covering/cover.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "ccov/covering/drc.hpp"
 #include "ccov/util/ints.hpp"
 
 namespace ccov::covering {
 
+RingCover::RingCover(
+    std::uint32_t ring_size,
+    std::initializer_list<std::initializer_list<Vertex>> cycles)
+    : n(ring_size) {
+  std::size_t total = 0;
+  for (const auto& c : cycles) total += c.size();
+  reserve(cycles.size(), total);
+  for (const auto& c : cycles)
+    add(std::span<const Vertex>(c.begin(), c.size()));
+}
+
+void RingCover::close_cycle() {
+  if (verts.size() > std::numeric_limits<std::uint32_t>::max())
+    throw std::length_error("RingCover: more than 2^32 - 1 vertices");
+  offsets.push_back(static_cast<std::uint32_t>(verts.size()));
+}
+
+void RingCover::append(const RingCover& other) {
+  reserve(other.size(), other.verts.size());
+  for (const std::span<const Vertex> c : other.cycles()) add(c);
+}
+
 std::vector<std::size_t> composition(const RingCover& cover) {
   std::size_t maxlen = 0;
-  for (const Cycle& c : cover.cycles) maxlen = std::max(maxlen, c.size());
+  for (const auto c : cover.cycles()) maxlen = std::max(maxlen, c.size());
   std::vector<std::size_t> comp(maxlen + 1, 0);
-  for (const Cycle& c : cover.cycles) comp[c.size()] += 1;
+  for (const auto c : cover.cycles()) comp[c.size()] += 1;
   return comp;
 }
 
-std::size_t count_c3(const RingCover& cover) {
-  return static_cast<std::size_t>(
-      std::count_if(cover.cycles.begin(), cover.cycles.end(),
-                    [](const Cycle& c) { return c.size() == 3; }));
+namespace {
+
+std::size_t count_length(const RingCover& cover, std::size_t k) {
+  std::size_t count = 0;
+  for (const auto c : cover.cycles()) count += c.size() == k;
+  return count;
 }
 
-std::size_t count_c4(const RingCover& cover) {
-  return static_cast<std::size_t>(
-      std::count_if(cover.cycles.begin(), cover.cycles.end(),
-                    [](const Cycle& c) { return c.size() == 4; }));
-}
+}  // namespace
+
+std::size_t count_c3(const RingCover& cover) { return count_length(cover, 3); }
+
+std::size_t count_c4(const RingCover& cover) { return count_length(cover, 4); }
 
 namespace {
 
@@ -50,26 +76,31 @@ struct CompleteDemand {
   }
 };
 
-/// An explicit demand multigraph: its distinct chords, packed u << 32 | v
-/// and sorted (so slot order is lexicographic chord order), each with its
-/// multiplicity. A cover chord finds its slot by binary search; one with
+/// An explicit demand: its distinct chords, packed u << 32 | v and sorted
+/// (so slot order is lexicographic chord order), each with its
+/// multiplicity — the count of its listings, or 1 each when the list is
+/// read as a set. A cover chord finds its slot by binary search; one with
 /// no slot lies outside the demand. O(m) memory, whatever n is.
 class ExplicitDemand {
  public:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
 
-  explicit ExplicitDemand(const graph::Graph& demand) {
-    std::vector<std::uint64_t> packed;
-    packed.reserve(demand.num_edges());
-    for (const auto& e : demand.edges()) packed.push_back(pack(e.u, e.v));
-    std::sort(packed.begin(), packed.end());
-    for (std::size_t i = 0; i < packed.size(); ++i) {
-      if (i == 0 || packed[i] != packed[i - 1]) {
-        chords_.push_back(packed[i]);
+  ExplicitDemand(std::span<const graph::Edge> demand, bool as_set) {
+    chords_.reserve(demand.size());
+    for (const graph::Edge& e : demand) {
+      const graph::Edge c = graph::normalized(e);
+      chords_.push_back(pack(c.u, c.v));
+    }
+    std::sort(chords_.begin(), chords_.end());
+    std::size_t out = 0;  // distinct chords so far, compacted in place
+    for (std::size_t i = 0; i < chords_.size(); ++i) {
+      if (i == 0 || chords_[i] != chords_[out - 1]) {
+        chords_[out++] = chords_[i];
         mult_.push_back(0);
       }
-      mult_.back() += 1;
+      if (!as_set || mult_.back() == 0) mult_.back() += 1;
     }
+    chords_.resize(out);
   }
 
   const std::vector<std::int64_t>& multiplicities() const { return mult_; }
@@ -118,7 +149,7 @@ ValidationReport validate_impl(const RingCover& cover, const Demand& demand) {
   std::size_t outside = 0;  // coverages of chords with no demand slot
   std::vector<std::size_t> stamp;  // sized on the first unwound cycle
   // >= 3 vertices, all < n and distinct, stamping each with `mark`.
-  const auto well_formed = [&](const Cycle& c, std::size_t mark) {
+  const auto well_formed = [&](std::span<const Vertex> c, std::size_t mark) {
     if (c.size() < 3) return false;
     if (stamp.empty()) stamp.assign(n, 0);
     for (const Vertex v : c) {
@@ -127,10 +158,11 @@ ValidationReport validate_impl(const RingCover& cover, const Demand& demand) {
     }
     return true;
   };
-  for (std::size_t i = 0; i < cover.cycles.size(); ++i) {
-    const Cycle& c = cover.cycles[i];
+  std::size_t i = 0;
+  for (const std::span<const Vertex> c : cover.cycles()) {
+    ++i;
     const bool drc = drc_winding(n, c) != 0;
-    if (!drc && !well_formed(c, i + 1)) {
+    if (!drc && !well_formed(c, i)) {
       rep.error = "structurally invalid cycle " + to_string(c);
       return rep;
     }
@@ -180,12 +212,19 @@ ValidationReport validate_cover(const RingCover& cover) {
 
 ValidationReport validate_cover_against(const RingCover& cover,
                                         const graph::Graph& demand) {
-  return validate_impl(cover, ExplicitDemand(demand));
+  // A Graph is a multigraph: each parallel edge is one more demanded
+  // coverage (lambda*K_n, WDM instances).
+  return validate_impl(cover, ExplicitDemand(demand.edges(), false));
+}
+
+ValidationReport validate_cover_against(const RingCover& cover,
+                                        std::span<const graph::Edge> demand) {
+  return validate_impl(cover, ExplicitDemand(demand, true));
 }
 
 std::string to_string(const RingCover& cover) {
   std::string s;
-  for (const Cycle& c : cover.cycles) s += to_string(c);
+  for (const auto c : cover.cycles()) s += to_string(c);
   return s;
 }
 

@@ -6,7 +6,7 @@
 
 namespace ccov::covering {
 
-bool is_valid_cycle(const Cycle& c, std::uint32_t n) {
+bool is_valid_cycle(std::span<const Vertex> c, std::uint32_t n) {
   const std::size_t k = c.size();
   if (k < 3 || k > n) return false;
   for (Vertex v : c)
@@ -20,17 +20,17 @@ bool is_valid_cycle(const Cycle& c, std::uint32_t n) {
   return true;
 }
 
-std::vector<std::pair<Vertex, Vertex>> cycle_chords(const Cycle& c) {
+std::vector<std::pair<Vertex, Vertex>> cycle_chords(std::span<const Vertex> c) {
   std::vector<std::pair<Vertex, Vertex>> out;
   out.reserve(c.size());
   for_each_chord(c, [&](Vertex u, Vertex v) { out.emplace_back(u, v); });
   return out;
 }
 
-Cycle canonical(const Cycle& c) {
-  if (c.empty()) return c;
+Cycle canonical(std::span<const Vertex> c) {
+  if (c.empty()) return {};
   Cycle best;
-  Cycle cur = c;
+  Cycle cur(c.begin(), c.end());
   for (int rev = 0; rev < 2; ++rev) {
     for (std::size_t s = 0; s < cur.size(); ++s) {
       Cycle rot(cur.size());
@@ -43,7 +43,7 @@ Cycle canonical(const Cycle& c) {
   return best;
 }
 
-std::string to_string(const Cycle& c) {
+std::string to_string(std::span<const Vertex> c) {
   std::string s = "(";
   for (std::size_t i = 0; i < c.size(); ++i) {
     if (i) s += ' ';

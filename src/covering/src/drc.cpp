@@ -21,15 +21,15 @@ int drc_winding(std::uint32_t n, std::span<const Vertex> c) {
   return 0;
 }
 
-bool is_circularly_ordered(const ring::Ring& r, const Cycle& c) {
+bool is_circularly_ordered(const ring::Ring& r, std::span<const Vertex> c) {
   return drc_winding(r.size(), c) != 0;
 }
 
 std::optional<std::vector<ring::Arc>> drc_route(const ring::Ring& r,
-                                                const Cycle& c) {
+                                                std::span<const Vertex> c) {
   const int winding = drc_winding(r.size(), c);
   if (winding == 0) return std::nullopt;
-  Cycle seq = c;
+  Cycle seq(c.begin(), c.end());
   if (winding < 0) std::reverse(seq.begin(), seq.end());
   std::vector<ring::Arc> arcs;
   arcs.reserve(seq.size());
@@ -41,7 +41,7 @@ std::optional<std::vector<ring::Arc>> drc_route(const ring::Ring& r,
   return arcs;
 }
 
-bool satisfies_drc_bruteforce(const ring::Ring& r, const Cycle& c) {
+bool satisfies_drc_bruteforce(const ring::Ring& r, std::span<const Vertex> c) {
   if (!is_valid_cycle(c, r.size())) return false;
   const std::size_t k = c.size();
   // Each logical edge picks the clockwise (bit 0) or counterclockwise

@@ -165,8 +165,9 @@ RingCover greedy_impl(ChordRows uncovered, std::size_t remaining) {
     throw std::invalid_argument(
         "greedy_cover: no C3/C4 covers a chord of a ring of size " +
         std::to_string(n));
-  RingCover cover;
-  cover.n = n;
+  RingCover cover(n);
+  // Each cycle covers at least one chord: at most `remaining` of them.
+  cover.reserve(remaining, 4 * remaining);
   Vertex a = 0, b = 0;
   while (remaining > 0 && uncovered.first(a, b)) {
     const SmallCycle c = best_cycle_through(uncovered, a, b);
@@ -176,7 +177,7 @@ RingCover greedy_impl(ChordRows uncovered, std::size_t remaining) {
         --remaining;
       }
     });
-    cover.cycles.push_back(c.to_cycle());
+    cover.add(c.view());
   }
   return cover;
 }

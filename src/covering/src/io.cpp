@@ -1,5 +1,6 @@
 #include "ccov/covering/io.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -9,8 +10,8 @@ namespace ccov::covering {
 void write_cover(std::ostream& os, const RingCover& cover) {
   os << "drc-cover v1\n";
   os << "n " << cover.n << "\n";
-  os << "cycles " << cover.cycles.size() << "\n";
-  for (const Cycle& c : cover.cycles) {
+  os << "cycles " << cover.size() << "\n";
+  for (const auto c : cover.cycles()) {
     os << c.size();
     for (Vertex v : c) os << ' ' << v;
     os << '\n';
@@ -28,16 +29,19 @@ RingCover read_cover(std::istream& is) {
     throw std::runtime_error("read_cover: missing ring size");
   if (!(is >> key >> count) || key != "cycles")
     throw std::runtime_error("read_cover: missing cycle count");
-  cover.cycles.reserve(count);
+  // Trust the header's count only so far: a tampered file cannot size an
+  // allocation before its cycles are read.
+  cover.offsets.reserve(std::min<std::size_t>(count, std::size_t{1} << 16));
+  Cycle c;
   for (std::size_t i = 0; i < count; ++i) {
     std::size_t k = 0;
     if (!(is >> k) || k < 3)
       throw std::runtime_error("read_cover: bad cycle length");
-    Cycle c(k);
+    c.resize(k);
     for (std::size_t j = 0; j < k; ++j)
       if (!(is >> c[j]))
         throw std::runtime_error("read_cover: truncated cycle");
-    cover.cycles.push_back(std::move(c));
+    cover.add(c);
   }
   return cover;
 }

@@ -76,7 +76,7 @@ struct Search {
   bool deadline_hit = false;  // opts.deadline expired mid-search
   bool cancel_hit = false;    // *opts.cancel fired mid-search
   std::vector<SmallCycle> chosen;
-  std::vector<Cycle> best;
+  RingCover best;  // the witness, written from `chosen` on success
   bool found = false;
 
   // Parallel wiring; all null/unused in the serial search.
@@ -287,9 +287,10 @@ struct Search {
   }
 
   void record_witness() {
+    best.n = n;
     best.clear();
-    best.reserve(chosen.size());
-    for (const SmallCycle& c : chosen) best.push_back(c.to_cycle());
+    best.reserve(chosen.size(), SmallCycle::kCapacity * chosen.size());
+    for (const SmallCycle& c : chosen) best.add(c.view());
     found = true;
   }
 
@@ -358,7 +359,7 @@ SolverResult solve_with_budget(std::uint32_t n, std::uint64_t budget,
   res.timed_out = s.deadline_hit;
   res.cancelled = s.cancel_hit;
   res.exhausted = !s.node_budget_hit && !s.deadline_hit && !s.cancel_hit;
-  if (ok) res.cover = RingCover{n, std::move(s.best)};
+  if (ok) res.cover = std::move(s.best);
   return res;
 }
 
@@ -379,7 +380,7 @@ SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
   if (!root.uncovered.first(a, b)) {  // unreachable for n >= 3
     res.found = true;
     res.exhausted = true;
-    res.cover = RingCover{n, {}};
+    res.cover = RingCover(n);
     return res;
   }
   if (budget == 0) {
@@ -409,7 +410,7 @@ SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
     bool cancelled = false;
     bool timed_out = false;
     bool cancel_hit = false;
-    std::vector<Cycle> best;
+    RingCover best;
   };
   std::vector<WorkerResult> results(fanout);
 
@@ -468,7 +469,7 @@ SolverResult solve_with_budget_parallel(std::uint32_t n, std::uint64_t budget,
     }
     res.found = true;
     res.exhausted = clean;
-    res.cover = RingCover{n, std::move(results[w].best)};
+    res.cover = std::move(results[w].best);
     return res;
   }
   bool all_exhausted = true;

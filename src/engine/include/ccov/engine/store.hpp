@@ -23,7 +23,9 @@
 ///     cycles     u32, then per cycle: u32 length + that many u32 vertices
 ///
 /// Timing and cache_hit are deliberately not stored: they are not
-/// reproducible fields (lookup zeroes them on every hit anyway).
+/// reproducible fields (lookup zeroes them on every hit anyway). Covers
+/// are written from and read into RingCover's two flat arrays; loading
+/// pulls 64 KiB chunks from the streambuf, never the whole file.
 
 #include <cstdint>
 #include <iosfwd>
@@ -44,7 +46,8 @@ void save_snapshot(std::ostream& os, const CoverCache& cache);
 /// Read a snapshot from `is` (binary) and import every entry into
 /// `cache` (existing entries are kept; equal keys are overwritten).
 /// Returns the number of entries imported. Throws std::runtime_error on
-/// a bad magic, unknown version or truncated stream.
+/// a bad magic, unknown version or truncated stream, leaving `cache` as
+/// it was. Reads ahead: bytes after the snapshot are consumed too.
 std::size_t load_snapshot(std::istream& is, CoverCache& cache);
 
 /// File wrappers. save_snapshot_file is *atomic*: the snapshot is
@@ -63,10 +66,9 @@ std::size_t load_snapshot_file(const std::string& path, CoverCache& cache);
 /// std::runtime_error on a missing file, bad magic or unknown version.
 std::uint64_t snapshot_entry_count_file(const std::string& path);
 
-// Fault injection for the save path lives in the generic failpoint
-// registry (ccov/util/failpoint.hpp): "snapshot_open", "snapshot_write",
-// "snapshot_fsync" and "snapshot_rename" each throw from the matching
-// stage of save_snapshot_file, simulating ENOSPC/EIO mid-save; the
-// previous snapshot survives and the temp file is removed.
+// Failpoints (ccov/util/failpoint.hpp) "snapshot_open", "snapshot_write",
+// "snapshot_fsync" and "snapshot_rename" throw from the matching stage of
+// save_snapshot_file (simulated ENOSPC/EIO); the previous snapshot
+// survives and the temp file is removed.
 
 }  // namespace ccov::engine

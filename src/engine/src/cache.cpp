@@ -92,13 +92,6 @@ bool is_identity(const DihedralElement& g, std::uint32_t n) {
   return n == 0 || (!g.reflect && g.shift % n == 0);
 }
 
-/// Replace every vertex v of `cover` by map(v), in place.
-template <typename Map>
-void relabel(covering::RingCover* cover, Map map) {
-  for (covering::Cycle& c : cover->cycles)
-    for (covering::Vertex& v : c) v = map(v);
-}
-
 /// Decimal append without a std::to_string temporary — key building sits
 /// on the cache-hit hot path. Bytes match what ostringstream printed
 /// (bools as 1/0 via the integer overloads).
@@ -186,10 +179,10 @@ void apply_element(covering::RingCover* cover, const DihedralElement& g) {
   const std::uint32_t n = cover->n;
   if (is_identity(g, n)) return;
   const std::uint32_t s = g.shift % n;
-  relabel(cover, [n, s, r = g.reflect](covering::Vertex v) {
-    if (r) v = (n - v) % n;
-    return static_cast<covering::Vertex>((v + s) % n);
-  });
+  for (covering::Vertex& v : cover->verts) {
+    if (g.reflect) v = (n - v) % n;
+    v = (v + s) % n;
+  }
 }
 
 void apply_inverse(covering::RingCover* cover, const DihedralElement& g) {
@@ -197,10 +190,10 @@ void apply_inverse(covering::RingCover* cover, const DihedralElement& g) {
   if (is_identity(g, n)) return;
   // g = rot_s . refl^r, so g^{-1} = refl^r . rot_{-s}.
   const std::uint32_t s = (n - g.shift % n) % n;
-  relabel(cover, [n, s, r = g.reflect](covering::Vertex v) {
+  for (covering::Vertex& v : cover->verts) {
     v = (v + s) % n;
-    return r ? static_cast<covering::Vertex>((n - v) % n) : v;
-  });
+    if (g.reflect) v = (n - v) % n;
+  }
 }
 
 CoverCache::CoverCache(std::size_t capacity, std::size_t shards)

@@ -162,9 +162,7 @@ CoverResponse Engine::run_keyed(const CoverRequest& req,
     } else if (eff->demand.empty()) {
       resp.valid = covering::validate_cover(resp.cover).ok;
     } else {
-      resp.valid = covering::validate_cover_against(
-                       resp.cover, demand_graph(eff->n, eff->demand))
-                       .ok;
+      resp.valid = covering::validate_cover_against(resp.cover, eff->demand).ok;
     }
   }
   resp.elapsed_ms = timer.millis();

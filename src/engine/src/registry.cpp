@@ -58,8 +58,7 @@ constexpr Algorithm kAlgorithms[] = {
     {"c4", "classical C4 covering of K_n, no routing constraint (ref [2])",
      [](const CoverRequest& req) {
        require_all_to_all(req, "c4");
-       return AlgorithmOutcome{
-           covering::RingCover{req.n, baselines::greedy_c4_cover(req.n)}};
+       return AlgorithmOutcome{baselines::greedy_c4_cover(req.n)};
      },
      nullptr},
     {"construct",
@@ -120,8 +119,7 @@ constexpr Algorithm kAlgorithms[] = {
      "(refs [6,7])",
      [](const CoverRequest& req) {
        require_all_to_all(req, "triple");
-       return AlgorithmOutcome{covering::RingCover{
-           req.n, baselines::greedy_triple_cover(req.n)}};
+       return AlgorithmOutcome{baselines::greedy_triple_cover(req.n)};
      },
      nullptr},
 };

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <charconv>
 #include <cstdint>
-#include <functional>
 #include <istream>
 #include <iterator>
 #include <limits>
@@ -420,27 +419,26 @@ bool parse_serve_line(const std::string& line, ServeCommand* cmd,
 namespace {
 
 /// Append `cover` as `[[v,v,v],[v,v,v,v],...]`, the bytes a
-/// begin_array/value/end_array per vertex writes, in one pass: the
-/// string grows once to a bound (10 digits and a separator per vertex,
-/// brackets and a separator per cycle) and is cut back to what was
-/// written.
+/// begin_array/value/end_array per vertex writes, in one walk over the
+/// flat vertex array: the string grows once to a bound (10 digits and a
+/// separator per vertex, brackets and a separator per cycle) and is cut
+/// back to what was written.
 void append_cover(std::string* out, const covering::RingCover& cover) {
-  std::size_t bound = 2;
-  for (const covering::Cycle& c : cover.cycles) bound += 3 + 11 * c.size();
   const std::size_t start = out->size();
-  out->resize(start + bound);
+  out->resize(start + 2 + 3 * cover.size() + 11 * cover.verts.size());
   char* p = out->data() + start;
   *p++ = '[';
-  for (std::size_t i = 0; i < cover.cycles.size(); ++i) {
-    const covering::Cycle& c = cover.cycles[i];
-    if (i) *p++ = ',';
+  std::uint32_t j = 0;
+  for (const std::uint32_t end : cover.offsets) {
     *p++ = '[';
-    for (std::size_t j = 0; j < c.size(); ++j) {
-      if (j) *p++ = ',';
-      p = std::to_chars(p, p + 10, c[j]).ptr;
+    for (const std::uint32_t begin = j; j < end; ++j) {
+      if (j != begin) *p++ = ',';
+      p = std::to_chars(p, p + 10, cover.verts[j]).ptr;
     }
     *p++ = ']';
+    *p++ = ',';
   }
+  if (!cover.empty()) --p;  // the last cycle's separator
   *p++ = ']';
   out->resize(static_cast<std::size_t>(p - out->data()));
 }
@@ -455,9 +453,8 @@ void render_response_line(json::JsonWriter& w, std::uint64_t id,
                           std::uint64_t nodes) {
   // ~12 bytes per cover vertex ("nn," with brackets) on top of the fixed
   // fields: one right-sized allocation instead of log2(size) regrowths.
-  std::size_t vertices = 0;
-  for (const covering::Cycle& c : resp.cover.cycles) vertices += c.size();
-  w.reserve(w.str().size() + 160 + resp.error.size() + 12 * vertices);
+  w.reserve(w.str().size() + 160 + resp.error.size() +
+            12 * resp.cover.verts.size());
   w.begin_object()
       .key("id").value(id)
       .key("ok").value(resp.ok)

@@ -26,12 +26,10 @@ std::uint64_t rho_lambda_lower_bound(std::uint32_t n, std::uint32_t lambda) {
 }
 
 covering::RingCover build_lambda_cover(std::uint32_t n, std::uint32_t lambda) {
-  covering::RingCover base = covering::build_optimal_cover(n);
-  covering::RingCover out;
-  out.n = n;
-  out.cycles.reserve(base.cycles.size() * lambda);
-  for (std::uint32_t k = 0; k < lambda; ++k)
-    for (const auto& c : base.cycles) out.cycles.push_back(c);
+  const covering::RingCover base = covering::build_optimal_cover(n);
+  covering::RingCover out(n);
+  out.reserve(base.size() * lambda, base.verts.size() * lambda);
+  for (std::uint32_t k = 0; k < lambda; ++k) out.append(base);
   return out;
 }
 

@@ -15,11 +15,13 @@ WdmRingNetwork::WdmRingNetwork(std::uint32_t n,
     throw std::invalid_argument("WdmRingNetwork: invalid covering: " +
                                 report.error);
   std::uint32_t lambda = 0;
-  for (const auto& cyc : cover.cycles) {
+  subs_.reserve(cover.size());
+  for (const auto cyc : cover.cycles()) {
     auto routing = covering::drc_route(ring_, cyc);
     if (!routing)  // unreachable after validation; defensive
       throw std::invalid_argument("WdmRingNetwork: cycle violates DRC");
-    subs_.push_back(Subnetwork{cyc, std::move(*routing), lambda});
+    subs_.push_back(Subnetwork{covering::Cycle(cyc.begin(), cyc.end()),
+                               std::move(*routing), lambda});
     lambda += 2;  // working + spare per sub-network
   }
 }

@@ -84,7 +84,7 @@ TEST(Cover, ValidateAgainstMultigraphDemand) {
   EXPECT_FALSE(rep.ok);
   // Two copies do.
   RingCover doubled = paper_k4_cover();
-  for (const auto& cyc : paper_k4_cover().cycles) doubled.cycles.push_back(cyc);
+  doubled.append(paper_k4_cover());
   EXPECT_TRUE(validate_cover_against(doubled, demand).ok);
 }
 
@@ -131,9 +131,8 @@ void expect_same_against(const RingCover& cover,
 /// cover file produces: drop, duplicate or reverse a cycle, swap two of
 /// its vertices (usually breaking the DRC), put in a vertex >= n, repeat
 /// a vertex, cut a cycle below 3 vertices, or add a random triangle.
-void perturb(RingCover* cover, ccov::util::Xoshiro256& rng) {
-  auto& cycles = cover->cycles;
-  const std::uint32_t n = cover->n;
+void perturb_cycles(std::vector<Cycle>& cycles, std::uint32_t n,
+                    ccov::util::Xoshiro256& rng) {
   const auto kind = cycles.empty() ? 7 : rng.below(8);
   if (kind == 7) {
     Cycle tri;
@@ -169,6 +168,15 @@ void perturb(RingCover* cover, ccov::util::Xoshiro256& rng) {
       c.resize(rng.below(3));
       break;
   }
+}
+
+/// perturb_cycles on an owned copy of the cover's cycles.
+void perturb(RingCover* cover, ccov::util::Xoshiro256& rng) {
+  std::vector<Cycle> cycles;
+  for (const auto c : cover->cycles()) cycles.emplace_back(c.begin(), c.end());
+  perturb_cycles(cycles, cover->n, rng);
+  cover->clear();
+  for (const Cycle& c : cycles) cover->add(c);
 }
 
 /// m random chords on vertices below `span` (repeats kept: a multigraph).
@@ -217,8 +225,7 @@ TEST(CoverOracle, MultigraphDemandsMatchReference) {
       RingCover cover{n, {}};
       for (std::uint32_t copy = 0; copy < 4; ++copy) {
         expect_same_against(cover, demand);  // 0..3 copies: short, exact, over
-        cover.cycles.insert(cover.cycles.end(), base.cycles.begin(),
-                            base.cycles.end());
+        cover.append(base);
       }
       perturb(&cover, rng);
       expect_same_against(cover, demand);

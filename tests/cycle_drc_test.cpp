@@ -71,14 +71,14 @@ TEST(ChordBitsetTest, FirstScansAcrossWordBoundaries) {
 }
 
 TEST(Cycle, ValidityChecks) {
-  EXPECT_TRUE(is_valid_cycle({0, 1, 2}, 5));
-  EXPECT_FALSE(is_valid_cycle({0, 1}, 5));          // too short
-  EXPECT_FALSE(is_valid_cycle({0, 1, 1}, 5));       // repeat
-  EXPECT_FALSE(is_valid_cycle({0, 1, 7}, 5));       // out of range
+  EXPECT_TRUE(is_valid_cycle(Cycle{0, 1, 2}, 5));
+  EXPECT_FALSE(is_valid_cycle(Cycle{0, 1}, 5));          // too short
+  EXPECT_FALSE(is_valid_cycle(Cycle{0, 1, 1}, 5));       // repeat
+  EXPECT_FALSE(is_valid_cycle(Cycle{0, 1, 7}, 5));       // out of range
 }
 
 TEST(Cycle, ChordsNormalized) {
-  auto ch = cycle_chords({3, 0, 4});
+  auto ch = cycle_chords(Cycle{3, 0, 4});
   ASSERT_EQ(ch.size(), 3u);
   EXPECT_EQ(ch[0], std::make_pair(0u, 3u));
   EXPECT_EQ(ch[1], std::make_pair(0u, 4u));
@@ -86,20 +86,20 @@ TEST(Cycle, ChordsNormalized) {
 }
 
 TEST(Cycle, CanonicalRotationInvariant) {
-  EXPECT_EQ(canonical({2, 3, 0, 1}), canonical({0, 1, 2, 3}));
+  EXPECT_EQ(canonical(Cycle{2, 3, 0, 1}), canonical(Cycle{0, 1, 2, 3}));
 }
 
 TEST(Cycle, CanonicalReflectionInvariant) {
-  EXPECT_EQ(canonical({0, 3, 2, 1}), canonical({0, 1, 2, 3}));
+  EXPECT_EQ(canonical(Cycle{0, 3, 2, 1}), canonical(Cycle{0, 1, 2, 3}));
 }
 
 TEST(Cycle, CanonicalDistinguishesDifferentCycles) {
   // (0,1,2,3) and (0,2,1,3) are different 4-cycles.
-  EXPECT_NE(canonical({0, 1, 2, 3}), canonical({0, 2, 1, 3}));
+  EXPECT_NE(canonical(Cycle{0, 1, 2, 3}), canonical(Cycle{0, 2, 1, 3}));
 }
 
 TEST(Cycle, ToStringFormat) {
-  EXPECT_EQ(to_string({1, 2, 3}), "(1 2 3)");
+  EXPECT_EQ(to_string(Cycle{1, 2, 3}), "(1 2 3)");
 }
 
 TEST(Drc, PaperExampleK4) {
@@ -107,10 +107,10 @@ TEST(Drc, PaperExampleK4) {
   // (0,2,3,1)] admits no edge-disjoint routing, while (1,2,3,4), (1,2,4)
   // and (1,3,4) do.
   Ring r(4);
-  EXPECT_FALSE(satisfies_drc(r, {0, 2, 3, 1}));
-  EXPECT_TRUE(satisfies_drc(r, {0, 1, 2, 3}));
-  EXPECT_TRUE(satisfies_drc(r, {0, 1, 3}));
-  EXPECT_TRUE(satisfies_drc(r, {0, 2, 3}));
+  EXPECT_FALSE(satisfies_drc(r, Cycle{0, 2, 3, 1}));
+  EXPECT_TRUE(satisfies_drc(r, Cycle{0, 1, 2, 3}));
+  EXPECT_TRUE(satisfies_drc(r, Cycle{0, 1, 3}));
+  EXPECT_TRUE(satisfies_drc(r, Cycle{0, 2, 3}));
 }
 
 TEST(Drc, TrianglesAlwaysRoutable) {
@@ -122,45 +122,45 @@ TEST(Drc, TrianglesAlwaysRoutable) {
     Vertex b = static_cast<Vertex>(g.below(9));
     Vertex c = static_cast<Vertex>(g.below(9));
     if (a == b || b == c || a == c) continue;
-    EXPECT_TRUE(satisfies_drc(r, {a, b, c})) << a << b << c;
+    EXPECT_TRUE(satisfies_drc(r, Cycle{a, b, c})) << a << b << c;
   }
 }
 
 TEST(Drc, ReversedOrderAccepted) {
   Ring r(8);
-  EXPECT_TRUE(satisfies_drc(r, {5, 3, 1}));       // ccw order
-  EXPECT_TRUE(satisfies_drc(r, {6, 4, 2, 0}));    // ccw quad
+  EXPECT_TRUE(satisfies_drc(r, Cycle{5, 3, 1}));       // ccw order
+  EXPECT_TRUE(satisfies_drc(r, Cycle{6, 4, 2, 0}));    // ccw quad
 }
 
 TEST(Drc, CrossingQuadRejected) {
   Ring r(8);
-  EXPECT_FALSE(satisfies_drc(r, {0, 4, 1, 5}));
-  EXPECT_FALSE(satisfies_drc(r, {0, 2, 1, 3}));
+  EXPECT_FALSE(satisfies_drc(r, Cycle{0, 4, 1, 5}));
+  EXPECT_FALSE(satisfies_drc(r, Cycle{0, 2, 1, 3}));
 }
 
 TEST(Drc, RouteTilesRingExactly) {
   Ring r(9);
-  auto arcs = drc_route(r, {1, 4, 7});
+  auto arcs = drc_route(r, Cycle{1, 4, 7});
   ASSERT_TRUE(arcs.has_value());
   EXPECT_TRUE(ccov::ring::is_exact_tiling(r, *arcs));
 }
 
 TEST(Drc, RouteOfReversedCycle) {
   Ring r(7);
-  auto arcs = drc_route(r, {5, 3, 0});
+  auto arcs = drc_route(r, Cycle{5, 3, 0});
   ASSERT_TRUE(arcs.has_value());
   EXPECT_TRUE(ccov::ring::is_exact_tiling(r, *arcs));
 }
 
 TEST(Drc, RouteRejectsNonCircular) {
   Ring r(6);
-  EXPECT_FALSE(drc_route(r, {0, 2, 1, 4}).has_value());
+  EXPECT_FALSE(drc_route(r, Cycle{0, 2, 1, 4}).has_value());
 }
 
 TEST(Drc, WholeRingCycle) {
   Ring r(5);
-  EXPECT_TRUE(satisfies_drc(r, {0, 1, 2, 3, 4}));
-  auto arcs = drc_route(r, {0, 1, 2, 3, 4});
+  EXPECT_TRUE(satisfies_drc(r, Cycle{0, 1, 2, 3, 4}));
+  auto arcs = drc_route(r, Cycle{0, 1, 2, 3, 4});
   ASSERT_TRUE(arcs.has_value());
   for (const auto& a : *arcs) EXPECT_EQ(a.len, 1u);
 }

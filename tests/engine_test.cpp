@@ -29,8 +29,11 @@
 #include "ccov/extensions/lambda_cover.hpp"
 #include "ccov/util/failpoint.hpp"
 #include "ccov/util/prng.hpp"
+#include "churn_store.hpp"
 #include "reference_canonical_key.hpp"
 #include "reference_parse.hpp"
+#include "reference_store.hpp"
+#include "reference_validate.hpp"
 
 namespace eng = ccov::engine;
 namespace cov = ccov::covering;
@@ -451,8 +454,7 @@ TEST(CoverCache, ApplyElementRoundTrips) {
       eng::apply_inverse(&back, g);
       EXPECT_TRUE(cov::covers_isomorphic(cover, there));
       // Round trip is the identity on the nose, not just up to D_n.
-      EXPECT_EQ(cov::canonical_cover(back).cycles,
-                cov::canonical_cover(cover).cycles);
+      EXPECT_EQ(cov::canonical_cover(back), cov::canonical_cover(cover));
       EXPECT_TRUE(cov::validate_cover(back).ok);
     }
   }
@@ -469,21 +471,19 @@ TEST(CoverCache, InPlaceFramesMatchTheReferenceCopies) {
     for (int i = 0; i < 40; ++i) {
       cov::Cycle c(3 + rng.below(4));
       for (auto& v : c) v = static_cast<cov::Vertex>(rng.below(n));
-      cover.cycles.push_back(c);
+      cover.add(c);
     }
-    cover.cycles.push_back({0, n - 1, n, n + 3, 0xFFFFFFFFu});
+    cover.add(cov::Cycle{0, n - 1, n, n + 3, 0xFFFFFFFFu});
     for (const bool reflect : {false, true}) {
       for (std::uint32_t shift = 0; shift < n + 2; ++shift) {
         const eng::DihedralElement g{reflect, shift};
         auto there = cover;
         eng::apply_element(&there, g);
-        EXPECT_EQ(there.cycles,
-                  eng::reference::apply_element(cover, g).cycles)
+        EXPECT_EQ(there, eng::reference::apply_element(cover, g))
             << "n=" << n << " reflect=" << reflect << " shift=" << shift;
         auto back = cover;
         eng::apply_inverse(&back, g);
-        EXPECT_EQ(back.cycles,
-                  eng::reference::apply_inverse(cover, g).cycles)
+        EXPECT_EQ(back, eng::reference::apply_inverse(cover, g))
             << "n=" << n << " reflect=" << reflect << " shift=" << shift;
       }
     }
@@ -506,12 +506,11 @@ TEST(CoverCache, StoredAndHitCoversMatchTheReferenceFrames) {
   auto entries = cache.export_entries();
   ASSERT_EQ(entries.size(), 1u);
   const auto kn_key = eng::canonical_request_key(kn_req);
-  EXPECT_EQ(entries[0].second.cover.cycles,
-            eng::reference::apply_element(kn.cover, kn_key.to_canonical)
-                .cycles);
+  EXPECT_EQ(entries[0].second.cover,
+            eng::reference::apply_element(kn.cover, kn_key.to_canonical));
   const auto kn_hit = cache.lookup(kn_req);
   ASSERT_TRUE(kn_hit.has_value());
-  EXPECT_EQ(kn_hit->cover.cycles, kn.cover.cycles);
+  EXPECT_EQ(kn_hit->cover, kn.cover);
 
   ccov::util::Xoshiro256 rng(0xD1EDu);
   const std::uint32_t n = 31;
@@ -527,16 +526,14 @@ TEST(CoverCache, StoredAndHitCoversMatchTheReferenceFrames) {
     resp.n = n;
     resp.cover.n = n;
     for (const auto& e : req.demand)
-      resp.cover.cycles.push_back(
-          {e.u, e.v, static_cast<cov::Vertex>(rng.below(n))});
+      resp.cover.add(e.u, e.v, static_cast<cov::Vertex>(rng.below(n)));
     const auto ck = eng::canonical_request_key(req);
     cache.insert(ck, resp);
     entries = cache.export_entries();
     ASSERT_EQ(entries.size(), 1u);
     const cov::RingCover stored = entries[0].second.cover;
-    EXPECT_EQ(stored.cycles,
-              eng::reference::apply_element(resp.cover, ck.to_canonical)
-                  .cycles);
+    EXPECT_EQ(stored,
+              eng::reference::apply_element(resp.cover, ck.to_canonical));
 
     const bool reflect = rng.below(2) != 0;
     const auto shift = static_cast<std::uint32_t>(rng.below(n));
@@ -551,8 +548,8 @@ TEST(CoverCache, StoredAndHitCoversMatchTheReferenceFrames) {
     ASSERT_EQ(ck2.key, ck.key);
     const auto hit = cache.lookup(ck2);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(hit->cover.cycles,
-              eng::reference::apply_inverse(stored, ck2.to_canonical).cycles);
+    EXPECT_EQ(hit->cover,
+              eng::reference::apply_inverse(stored, ck2.to_canonical));
   }
 }
 
@@ -978,6 +975,75 @@ TEST(Snapshot, RejectsImplausibleStringLengths) {
   std::istringstream is(bytes);
   EXPECT_THROW(eng::load_snapshot(is, cache), std::runtime_error);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+TEST(Snapshot, ChurnShapedStoreRoundTripsByteForByte) {
+  // 640 entries, ~250k cycles: many 64 KiB decode chunks, cycles split
+  // across chunk boundaries. save(load(x)) == x, and the entries are
+  // the ones the per-field reference decoder reads.
+  const std::string bytes = eng::fixtures::churn_store_bytes();
+  ASSERT_GT(bytes.size(), std::size_t{1} << 20);
+  eng::CoverCache cache(1024, 1);
+  std::istringstream in(bytes);
+  EXPECT_EQ(eng::load_snapshot(in, cache), 640u);
+  std::ostringstream out;
+  eng::save_snapshot(out, cache);
+  EXPECT_TRUE(out.str() == bytes);
+
+  std::istringstream ref_in(bytes);
+  const auto want = eng::reference::decode_snapshot(ref_in);
+  const auto got = cache.export_entries();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].first, want[i].first) << i;
+    EXPECT_TRUE(eng::reference::same_stored(got[i].second, want[i].second))
+        << got[i].first;
+  }
+}
+
+TEST(Snapshot, ChunkedLoaderMatchesReferenceOnDamagedStreams) {
+  // Accept/reject, error text and entries against the per-field
+  // istream decoder: truncations of a multi-megabyte store (cut inside
+  // and around 64 KiB chunks), then random damage to a small one.
+  const std::string big = eng::fixtures::churn_store_bytes(40, 11);
+  ccov::util::Xoshiro256 rng(0x5A4Bu);
+  for (const std::size_t cut :
+       {std::size_t{65535}, std::size_t{65536}, std::size_t{65537},
+        std::size_t{131073}, big.size() - 1, big.size()})
+    EXPECT_TRUE(eng::reference::loads_agree(big.substr(0, cut))) << cut;
+  for (int i = 0; i < 8; ++i) {
+    const std::size_t cut = rng.below(big.size());
+    EXPECT_TRUE(eng::reference::loads_agree(big.substr(0, cut))) << cut;
+  }
+  EXPECT_TRUE(eng::reference::loads_agree(big + "trailing bytes"));
+
+  eng::Engine engine;
+  for (const auto& req : snapshot_workload()) ASSERT_TRUE(engine.run(req).ok);
+  std::ostringstream snap;
+  eng::save_snapshot(snap, engine.cache());
+  const std::string small = snap.str();
+  ASSERT_TRUE(eng::reference::loads_agree(small));
+  for (int i = 0; i < 1500; ++i) {
+    std::string damaged = small;
+    switch (rng.below(4)) {
+      case 0:  // flip bytes
+        for (int k = 0; k < 1 + static_cast<int>(rng.below(4)); ++k)
+          damaged[rng.below(damaged.size())] ^=
+              static_cast<char>(1 + rng.below(255));
+        break;
+      case 1:  // truncate
+        damaged.resize(rng.below(damaged.size()));
+        break;
+      case 2:  // a small u32 where a length or count may sit
+        damaged[20 + rng.below(damaged.size() - 20)] =
+            static_cast<char>(rng.below(6));
+        break;
+      default:  // drop a run of bytes
+        damaged.erase(rng.below(damaged.size()), 1 + rng.below(16));
+        break;
+    }
+    ASSERT_TRUE(eng::reference::loads_agree(damaged)) << "case " << i;
+  }
 }
 
 namespace {
@@ -1474,6 +1540,38 @@ TEST(Engine, GreedyDemandErrorsKeepTheirTexts) {
   EXPECT_EQ(error_of({{0, 5}, {0, 35}}), range);
   EXPECT_EQ(error_of({{4294967295u, 1}}), range);
   EXPECT_EQ(engine.cache().size(), 0u);
+}
+
+TEST(Engine, ChordListValidationMatchesTheDemandGraph) {
+  // validate_cover_against over the chord list reads it as a set, as the
+  // Graph overload reads demand_graph's de-duplicated Graph: 500 random
+  // lists with repeats, reversed chords and vertices >= n, against the
+  // greedy's cover, a K_n cover and a damaged cover.
+  ccov::util::Xoshiro256 rng(0xC0DEu);
+  for (int i = 0; i < 500; ++i) {
+    const auto n = static_cast<std::uint32_t>(3 + rng.below(30));
+    std::vector<ccov::graph::Edge> chords;
+    const auto m = 1 + rng.below(2 * n);
+    while (chords.size() < m) {
+      const auto span = n + (rng.below(8) == 0 ? 3 : 0);
+      const auto u = static_cast<std::uint32_t>(rng.below(span));
+      const auto v = static_cast<std::uint32_t>(rng.below(span));
+      if (u == v) continue;
+      chords.push_back({u, v});
+      if (rng.below(4) == 0) chords.push_back({v, u});
+      if (rng.below(4) == 0) chords.push_back({u, v});
+    }
+    bool in_range = true;
+    for (const auto& e : chords) in_range = in_range && e.u < n && e.v < n;
+    cov::RingCover cover = in_range && i % 3 != 2
+                               ? cov::greedy_cover_chords(n, chords)
+                               : cov::build_optimal_cover(n);
+    if (i % 5 == 4 && !cover.empty()) cover.verts[0] = n;  // not a cycle
+    const auto graph = eng::demand_graph(n, chords);
+    const auto got = cov::validate_cover_against(cover, chords);
+    const auto want = cov::validate_cover_against(cover, graph);
+    EXPECT_TRUE(cov::reference::same_report(got, want)) << "case " << i;
+  }
 }
 
 TEST(Engine, RepeatedDemandChordIsDemandedOnce) {

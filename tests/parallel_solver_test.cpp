@@ -57,8 +57,7 @@ TEST_P(ParallelDeterminismParam, NodesAndCoverMatchSerial) {
     const auto par = solve_with_budget_parallel(n, rho(n), {}, threads);
     ASSERT_TRUE(par.found) << "n=" << n << " threads=" << threads;
     EXPECT_EQ(par.nodes, ser.nodes) << "n=" << n << " threads=" << threads;
-    EXPECT_EQ(par.cover.cycles, ser.cover.cycles)
-        << "n=" << n << " threads=" << threads;
+    EXPECT_EQ(par.cover, ser.cover) << "n=" << n << " threads=" << threads;
   }
 }
 

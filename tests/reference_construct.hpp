@@ -22,19 +22,16 @@ inline RingCover construct_odd_cover(std::uint32_t n) {
   if (n < 3 || n % 2 == 0)
     throw std::invalid_argument("construct_odd_cover: odd n >= 3 required");
 
-  RingCover cover;
-  cover.n = 3;
-  cover.cycles = {{0, 1, 2}};
+  RingCover cover{3, {{0, 1, 2}}};
 
   for (std::uint32_t m = 5; m <= n; m += 2) {
     const Vertex p = (m - 1) / 2;
     // Relabel: old i -> i+1 for i <= p-2, old i -> i+2 for i >= p-1.
-    for (Cycle& c : cover.cycles)
-      for (Vertex& v : c) v = v <= p - 2 ? v + 1 : v + 2;
+    for (Vertex& v : cover.verts) v = v <= p - 2 ? v + 1 : v + 2;
     // New cycles covering all chords incident to u = 0 and v = p.
     for (Vertex i = 1; i + 1 <= p; ++i)
-      cover.cycles.push_back({0, i, p, static_cast<Vertex>(p + i)});
-    cover.cycles.push_back({0, p, static_cast<Vertex>(2 * p)});
+      cover.add(0, i, p, static_cast<Vertex>(p + i));
+    cover.add(0, p, static_cast<Vertex>(2 * p));
     cover.n = m;
   }
   return cover;
@@ -50,18 +47,15 @@ inline RingCover fallback_even(std::uint32_t n) {
   cover.n = n;
   auto at = [n](std::uint32_t v) { return static_cast<Vertex>(v % n); };
   for (Vertex x = 0; x < p; ++x)
-    cover.cycles.push_back(sorted_cycle({at(x), at(x + 1), at(x + p)}));
+    cover.add(sorted_cycle({at(x), at(x + 1), at(x + p)}));
   for (Vertex a = p; a < 2 * p; ++a)
-    cover.cycles.push_back(
-        sorted_cycle({at(a), at(a + 1), at(a + p), at(a + p + 1)}));
+    cover.add(sorted_cycle({at(a), at(a + 1), at(a + p), at(a + p + 1)}));
   for (Vertex d = 2; d < p - d; ++d)
     for (Vertex x = 0; x < p; ++x)
-      cover.cycles.push_back(
-          sorted_cycle({at(x), at(x + d), at(x + p), at(x + p + d)}));
+      cover.add(sorted_cycle({at(x), at(x + d), at(x + p), at(x + p + d)}));
   if (p % 2 == 0 && p / 2 >= 2)
-    for (Vertex x = 0; x < p / 2; ++x)
-      cover.cycles.push_back(
-          sorted_cycle({at(x), at(x + p / 2), at(x + p), at(x + p + p / 2)}));
+    for (Vertex x = 0, h = p / 2; x < h; ++x)
+      cover.add(sorted_cycle({at(x), at(x + h), at(x + p), at(x + p + h)}));
   return cover;
 }
 

@@ -90,7 +90,7 @@ inline RingCover greedy_impl(std::uint32_t n, ChordBitset uncovered,
         --remaining;
       }
     });
-    cover.cycles.push_back(c.to_cycle());
+    cover.add(c.to_cycle());
   }
   return cover;
 }

@@ -37,7 +37,7 @@ inline std::string serve_response_line(std::uint64_t id,
   if (resp.validated) w.key("valid").value(resp.valid);
   if (resp.found) {
     w.key("cover").begin_array();
-    for (const covering::Cycle& c : resp.cover.cycles) {
+    for (const auto c : resp.cover.cycles()) {
       w.begin_array();
       for (std::size_t j = 0; j < c.size(); ++j)
         w.value(static_cast<std::uint64_t>(c[j]));

@@ -205,7 +205,10 @@ inline SolverResult solve_with_budget(std::uint32_t n, std::uint64_t budget,
   res.timed_out = s.deadline_hit;
   res.cancelled = s.cancel_hit;
   res.exhausted = !s.node_budget_hit && !s.deadline_hit && !s.cancel_hit;
-  if (ok) res.cover = RingCover{n, std::move(s.best)};
+  if (ok) {
+    res.cover = RingCover(n);
+    for (const Cycle& c : s.best) res.cover.add(c);
+  }
   return res;
 }
 

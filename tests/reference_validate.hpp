@@ -64,7 +64,8 @@ inline ValidationReport validate_impl(
   }
 
   std::map<std::pair<Vertex, Vertex>, std::uint32_t> covered;
-  for (const Cycle& c : cover.cycles) {
+  for (const auto view : cover.cycles()) {
+    const Cycle c(view.begin(), view.end());
     if (!is_valid_cycle(c, cover.n)) {
       rep.error = "structurally invalid cycle " + to_string(c);
       return rep;
@@ -124,12 +125,12 @@ inline bool same_report(const ValidationReport& a, const ValidationReport& b) {
          a.non_drc_cycles == b.non_drc_cycles;
 }
 
-inline std::vector<Cycle> greedy_triple_cover(std::uint32_t n) {
+inline RingCover greedy_triple_cover(std::uint32_t n) {
   std::set<std::pair<Vertex, Vertex>> uncovered;
   for (Vertex a = 0; a < n; ++a)
     for (Vertex b = a + 1; b < n; ++b) uncovered.insert({a, b});
 
-  std::vector<Cycle> out;
+  RingCover out(n);
   while (!uncovered.empty()) {
     const auto [a, b] = *uncovered.begin();
     // Pick the third vertex completing the most uncovered pairs.
@@ -151,7 +152,7 @@ inline std::vector<Cycle> greedy_triple_cover(std::uint32_t n) {
       if (u > v) std::swap(u, v);
       uncovered.erase({u, v});
     }
-    out.push_back(std::move(tri));
+    out.add(tri);
   }
   return out;
 }

@@ -56,7 +56,7 @@ eng::CoverResponse random_response(ccov::util::Xoshiro256& rng) {
   for (std::uint64_t i = 0; i < cycles; ++i) {
     cov::Cycle c(rng.below(10));  // lengths 0..9: empty and long cycles
     for (cov::Vertex& v : c) v = random_vertex(rng);
-    r.cover.cycles.push_back(std::move(c));
+    r.cover.add(c);
   }
   return r;
 }
@@ -90,9 +90,10 @@ TEST(Render, EdgeShapesMatchPerValueWriter) {
             "{\"id\":3,\"ok\":true,\"algo\":\"construct\",\"n\":9,"
             "\"found\":true,\"exhausted\":false,\"nodes\":0,"
             "\"cache_hit\":false,\"cover\":[]}");
-  r.cover.cycles = {{}, {0}, {9, 10}, {99, 100, 0xFFFFFFFFu}};
+  r.cover =
+      cov::RingCover(r.cover.n, {{}, {0}, {9, 10}, {99, 100, 0xFFFFFFFFu}});
   same("empty, short and wide cycles");
-  r.cover.cycles = {{0, 1, 2, 3, 4, 5, 6, 7, 8}};
+  r.cover = cov::RingCover(r.cover.n, {{0, 1, 2, 3, 4, 5, 6, 7, 8}});
   same("a cycle longer than 4");
   r.found = false;
   same("found:false hides the cover");

@@ -71,8 +71,8 @@ TEST(Solver, NodeBudgetReported) {
 TEST(Solver, TrivialK3) {
   const auto res = solve_with_budget(3, 1);
   ASSERT_TRUE(res.found);
-  EXPECT_EQ(res.cover.cycles.size(), 1u);
-  EXPECT_EQ(res.cover.cycles[0].size(), 3u);
+  EXPECT_EQ(res.cover.size(), 1u);
+  EXPECT_EQ(res.cover.cycle(0).size(), 3u);
 }
 
 // ---------------------------------------------------------------------------

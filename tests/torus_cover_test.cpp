@@ -37,7 +37,7 @@ TEST(TorusCover, RowDemandScalesWithColumns) {
 
 TEST(TorusCover, ValidationCatchesTampering) {
   auto tc = cover_torus_all_to_all(3, 4);
-  ASSERT_FALSE(tc.row_covers[0].cycles.empty());
-  tc.row_covers[0].cycles.clear();  // destroy one ring's cover
+  ASSERT_FALSE(tc.row_covers[0].empty());
+  tc.row_covers[0].clear();  // destroy one ring's cover
   EXPECT_FALSE(validate_torus_cover(tc));
 }

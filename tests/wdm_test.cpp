@@ -95,8 +95,8 @@ TEST(Cost, FewerSubnetworksCheaper) {
   const std::uint32_t n = 9;
   auto opt = covering::build_optimal_cover(n);
   auto padded = opt;
-  padded.cycles.push_back({0, 1, 2});
-  padded.cycles.push_back({0, 3, 6});
+  padded.add(0, 1, 2);
+  padded.add(0, 3, 6);
   const auto inst = Instance::all_to_all(n);
   const CostModel m;
   const double c_opt = evaluate_cost(WdmRingNetwork(n, opt, inst), m).total;

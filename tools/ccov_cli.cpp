@@ -196,7 +196,7 @@ int cmd_solve(const ccov::util::Cli& cli) {
             << " exhausted=" << res.exhausted << " nodes=" << res.nodes
             << "\n";
   if (res.found) {
-    for (const auto& c : res.cover.cycles)
+    for (const auto c : res.cover.cycles())
       std::cout << "  " << to_string(c) << "\n";
   }
   return res.found ? 0 : 1;
@@ -237,7 +237,7 @@ int cmd_run(const ccov::util::Cli& cli) {
       ccov::covering::save_cover(out, resp.cover);
       std::cout << "saved to " << out << "\n";
     } else {
-      for (const auto& c : resp.cover.cycles)
+      for (const auto c : resp.cover.cycles())
         std::cout << "  " << ccov::covering::to_string(c) << "\n";
     }
   }
